@@ -1,4 +1,4 @@
-"""Serving-path benchmark: interpreted vs compiled vs pooled serving.
+"""Serving-path benchmark: interpreted vs shared-render vs pooled serving.
 
 Models the production serving loop: one wrapper per engine, induced once
 from that engine's sample pages, then applied to a stream of result
@@ -7,26 +7,25 @@ pages *with health monitoring* (what :class:`repro.monitor
 corpus:
 
 - **interpreted serve** — ``EngineWrapper.extract`` followed by
-  ``check_wrapper`` per page: the pre-compile monitoring cost (two
-  parses, two renders, two application sweeps);
-- **compiled serve** — ``CompiledWrapper.serve``: one shared
-  render+index, one application sweep, extraction and health assembled
-  from the same per-schema results (:mod:`repro.perf.serve`);
+  ``check_wrapper`` per page: two parses, two renders, two application
+  sweeps;
+- **compiled serve** — ``CompiledWrapper.serve``: one shared render,
+  one application sweep, extraction and health assembled from the same
+  per-schema results (:mod:`repro.perf.serve`).  Both modes run the same
+  wrapper-apply code; only the shared render differs;
 - **cold pool** — the ``extract_many`` compatibility shim at
   ``jobs=N``: a *temporary* :class:`repro.perf.server.Server` per call,
-  so every call pays worker spawn + per-worker wrapper compilation with
-  cold kernel memos (the pre-PR-10 regime);
+  so every call pays worker spawn with cold kernel memos;
 - **warm pool** — a long-lived ``Server`` spawned and primed *before*
   the clock starts: workers are resident, their memos warmed by a
   priming pass (one sample page per engine), chunked batches amortize
   IPC.  Timed for both ``Server.serve`` (the headline: extraction +
   health) and ``Server.extract``.
 
-An honest extract-only comparison (``EngineWrapper.extract`` vs
-``CompiledWrapper.extract``) is also recorded: rendering dominates
-single extraction, so the compiled win there is real but modest — the
-headline is the serving workload, where the shared render halves the
-per-page cost outright before the automaton/index savings kick in.
+An extract-only comparison (``EngineWrapper.extract`` vs
+``CompiledWrapper.extract``) is also recorded; both run the same code,
+so it should sit near 1x — the headline is the serving workload, where
+the shared render halves the per-page rendering cost.
 
 Every timed page is also a parity check: the compiled extraction must
 serialize byte-identically to the interpreted one, the compiled health
@@ -226,8 +225,8 @@ def test_serve_bench_emitted():
     # untimed pass warms the process-wide memos and interners for *both*
     # modes (they share the kernel caches), so the timed pass below
     # measures the regime the monitor actually operates in; per-page
-    # work (parse, render, index, application) is rebuilt every serve
-    # either way.
+    # work (parse, render, application) is rebuilt every serve either
+    # way.
     for position, markup, query in tasks:
         engines[position].extract(markup, query)
         check_wrapper(engines[position], markup, query)
@@ -284,7 +283,7 @@ def test_serve_bench_emitted():
     clear_kernel_caches()
 
     # Cold pool: the extract_many shim builds and tears down a Server
-    # per call — every repetition pays spawn + compile + cold memos.
+    # per call — every repetition pays spawn + cold memos.
     cold_seconds, cold_batch = _best_of(
         lambda: extract_many(
             pages, compiled, jobs=JOBS, wrapper_of=wrapper_of,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     python -m repro induce  -o wrapper.json page1.html:query1 page2.html:query2 ...
-                    [--jobs N] [--checkpoint-dir DIR] [--resume]
+                    [--checkpoint-dir DIR] [--resume]
     python -m repro extract -w wrapper.json page1.html[:q1] [page2.html[:q2] ...]
                     [--query "..."] [--json]
     python -m repro serve   -w wrapper.json [-w more.json ...] --pages page1.html[:q1] ...
@@ -17,9 +17,9 @@
 file path, optionally suffixed ``:query terms``); ``extract`` applies a
 saved wrapper to one or more pages and prints sections/records — with
 ``--json`` it emits one array with a per-page timing entry; ``serve``
-runs the compiled batch path (:mod:`repro.perf.serve`): wrappers are
-compiled once, each page is parsed/rendered/indexed once and every
-wrapper is applied to the shared index, reporting pages/sec and p50/p99
+runs the batch serving path (:mod:`repro.perf.serve`): each page is
+parsed/rendered/cleaned once and every wrapper is applied to that
+shared render, reporting pages/sec and p50/p99
 per-page latency (``--jobs N`` fans pages out over worker processes);
 ``check`` reports wrapper health on one page (``--json FILE`` writes the
 machine-readable breakdown); ``monitor`` feeds a stream of pages through
@@ -33,10 +33,9 @@ sample pages and detection latency is reported against ground truth.
 ``demo`` runs a full induce-and-extract round trip against one
 synthetic engine.
 
-``induce --jobs N`` fans the per-page pipeline stages out over worker
-processes; ``--checkpoint-dir DIR`` persists every stage's artifacts as
+``induce --checkpoint-dir DIR`` persists every stage's artifacts as
 JSON, and ``--resume`` reuses them on a later run, recomputing only
-missing stages and their dependents (see ``repro.pipeline``).  All
+missing stages and their dependents (see ``repro.pipeline``).  Both
 variants produce byte-identical wrapper JSON.
 
 ``induce``, ``extract``, ``check`` and ``eval`` accept ``--trace FILE``
@@ -123,7 +122,6 @@ def cmd_induce(args) -> int:
     wrapper = build_wrapper(
         samples,
         obs=obs,
-        jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
@@ -158,7 +156,7 @@ def cmd_extract(args) -> int:
         path, query = _split_page_arg(arg)
         pages.append((path, _read(path), query or args.query))
 
-    # --jobs > 1 routes the batch through the compiled serving pool
+    # --jobs > 1 routes the batch through the serving pool
     # (bit-identical extractions, no per-page timing).
     batch: Optional[List] = None
     if args.jobs > 1 and len(pages) > 1:
@@ -252,7 +250,7 @@ def cmd_serve(args) -> int:
             latencies.append(time.perf_counter() - page_start)
         elapsed = time.perf_counter() - start
     else:
-        # The warm persistent pool: workers compile the wrappers once
+        # The warm persistent pool: workers load the wrappers once
         # and prime their kernel memos on the first page before the
         # timed batch runs.
         jobs = min(args.jobs, len(pages))
@@ -362,7 +360,6 @@ def cmd_monitor(args) -> int:
         ph_lambda=args.ph_lambda,
         heal=args.heal,
         checkpoint_dir=args.checkpoint_dir,
-        jobs=args.jobs,
     )
 
     truth = None
@@ -515,10 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_induce.add_argument("pages", nargs="+", help="page.html[:query terms]")
     p_induce.add_argument("-o", "--output", required=True, help="wrapper JSON path")
     p_induce.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for per-page pipeline stages (1 = serial)",
-    )
-    p_induce.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="persist per-stage artifacts to DIR (JSON checkpoints)",
     )
@@ -643,10 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="checkpoint directory for resumable re-induction",
-    )
-    p_monitor.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for re-induction (1 = serial)",
     )
     p_monitor.add_argument(
         "--testbed", type=int, metavar="ID", default=None,

@@ -29,7 +29,6 @@ from repro.core.model import SectionInstance
 from repro.core.wrapper import (
     SectionWrapper,
     SeparatorRule,
-    SpanLookup,
     partition_subtree_records,
 )
 from repro.features.blocks import Block
@@ -67,19 +66,8 @@ class SectionFamily:
     rbm_attrs: FrozenSet[TextAttr]
     family_id: str = ""
 
-    def apply(
-        self,
-        page: RenderedPage,
-        candidates: Optional[Sequence[Element]] = None,
-        span_of: Optional[SpanLookup] = None,
-    ) -> List[Tuple[str, SectionInstance]]:
-        """Extract this family's sections from one rendered page.
-
-        ``candidates`` may carry precomputed ``pref.find(root, slack=0)``
-        results and ``span_of`` a precomputed element -> line-span lookup
-        (both produced by the compiled serving path); when omitted the
-        family walks the DOM itself.
-        """
+    def apply(self, page: RenderedPage) -> List[Tuple[str, SectionInstance]]:
+        """Extract this family's sections from one rendered page."""
         raise NotImplementedError
 
 
@@ -90,27 +78,16 @@ class Type1Family(SectionFamily):
 
     pref: MergedTagPath = None  # type: ignore[assignment]
 
-    def apply(
-        self,
-        page: RenderedPage,
-        candidates: Optional[Sequence[Element]] = None,
-        span_of: Optional[SpanLookup] = None,
-    ) -> List[Tuple[str, SectionInstance]]:
-        if candidates is None:
-            candidates = self.pref.find(page.document.root, slack=0)
+    def apply(self, page: RenderedPage) -> List[Tuple[str, SectionInstance]]:
         out: List[Tuple[str, SectionInstance]] = []
-        for subtree in candidates:
-            out.extend(self._sections_of_subtree(page, subtree, span_of))
+        for subtree in self.pref.find(page.document.root, slack=0):
+            out.extend(self._sections_of_subtree(page, subtree))
         return out
 
     def _sections_of_subtree(
-        self,
-        page: RenderedPage,
-        subtree: Element,
-        span_of: Optional[SpanLookup] = None,
+        self, page: RenderedPage, subtree: Element
     ) -> List[Tuple[str, SectionInstance]]:
-        lookup = span_of if span_of is not None else page.line_range_of_element
-        span = lookup(subtree)
+        span = page.line_range_of_element(subtree)
         if span is None:
             return []
         start, end = span
@@ -137,9 +114,7 @@ class Type1Family(SectionFamily):
 
         out: List[Tuple[str, SectionInstance]] = []
         for index, (seg_start, seg_end, lbm) in enumerate(segments):
-            records = self._partition_segment(
-                page, subtree, seg_start, seg_end, span_of
-            )
+            records = self._partition_segment(page, subtree, seg_start, seg_end)
             if not records:
                 continue
             instance = SectionInstance(
@@ -163,19 +138,13 @@ class Type1Family(SectionFamily):
         return out
 
     def _partition_segment(
-        self,
-        page: RenderedPage,
-        subtree: Element,
-        start: int,
-        end: int,
-        span_of: Optional[SpanLookup] = None,
+        self, page: RenderedPage, subtree: Element, start: int, end: int
     ) -> List[Block]:
-        lookup = span_of if span_of is not None else page.line_range_of_element
         boundaries: List[int] = []
         for child in subtree.children:
             if not isinstance(child, Element):
                 continue
-            child_span = lookup(child)
+            child_span = page.line_range_of_element(child)
             if child_span is None or child_span[0] < start or child_span[0] > end:
                 continue
             if (
@@ -207,19 +176,11 @@ class Type2Family(SectionFamily):
     #: candidate position corresponds to which known schema
     member_positions: Dict[Tuple[int, ...], str] = field(default_factory=dict)
 
-    def apply(
-        self,
-        page: RenderedPage,
-        candidates: Optional[Sequence[Element]] = None,
-        span_of: Optional[SpanLookup] = None,
-    ) -> List[Tuple[str, SectionInstance]]:
-        if candidates is None:
-            candidates = self.pref.find(page.document.root, slack=0)
-        lookup = span_of if span_of is not None else page.line_range_of_element
+    def apply(self, page: RenderedPage) -> List[Tuple[str, SectionInstance]]:
         out: List[Tuple[str, SectionInstance]] = []
         hidden = 0
-        for subtree in candidates:
-            span = lookup(subtree)
+        for subtree in self.pref.find(page.document.root, slack=0):
+            span = page.line_range_of_element(subtree)
             if span is None:
                 continue
             start, end = span
@@ -228,9 +189,7 @@ class Type2Family(SectionFamily):
                 continue  # the attribute-marker confirmation failed
             if not _separator_applies(subtree, self.separator):
                 continue  # structurally alien: not a member of this family
-            records = partition_subtree_records(
-                page, subtree, self.separator, span_of=span_of
-            )
+            records = partition_subtree_records(page, subtree, self.separator)
             if not records:
                 continue
             key = _flexible_key(self.pref, subtree)

@@ -11,16 +11,10 @@ dynamic sections and their records from any result page of that engine.
 Since the staged refactor, this class is a façade over
 :mod:`repro.pipeline`: the steps are :class:`~repro.pipeline.Stage`
 objects executed by a :class:`~repro.pipeline.PipelineRunner` on one
-:class:`~repro.pipeline.InductionContext`.  That buys, with no API
-change here:
-
-- ``jobs=N`` — per-page stages (MRE, refinement, mining, granularity)
-  fan out over a process pool; cross-page barriers (DSE, grouping,
-  wrapper construction, families) stay serial.  Wrappers are
-  bit-identical to a serial run.
-- ``checkpoint_dir=...`` / ``resume=True`` — every stage's artifacts are
-  persisted as JSON and a resumed run recomputes only missing stages
-  (and their dependents), including after adding sample pages.
+:class:`~repro.pipeline.InductionContext`.  That buys
+``checkpoint_dir=...`` / ``resume=True``: every stage's artifacts are
+persisted as JSON and a resumed run recomputes only missing stages (and
+their dependents), including after adding sample pages.
 
 Each stage runs in an observability span (``render``, ``mre``, ``dse``,
 ``refine``, ``mine``, ``granularity``, ``grouping``, ``wrapper``,
@@ -63,13 +57,11 @@ class MSE:
         self,
         config: Optional[MSEConfig] = None,
         obs: ObserverLike = NULL_OBSERVER,
-        jobs: int = 1,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
     ) -> None:
         self.config = config or MSEConfig()
         self.obs = obs if obs is not None else NULL_OBSERVER
-        self.jobs = max(1, jobs)
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
 
@@ -98,7 +90,7 @@ class MSE:
                 store = ArtifactStore.open(
                     self.checkpoint_dir, self.config, ids, resume=self.resume
                 )
-        runner = PipelineRunner(jobs=self.jobs, store=store)
+        runner = PipelineRunner(store=store)
         runner.run(ctx, induction_stages(self.select_sections))
         self._observe_run(ctx)
         engine: EngineWrapper = ctx.engine
@@ -123,7 +115,7 @@ class MSE:
             self.config,
             self.obs,
         )
-        PipelineRunner(jobs=1).run(ctx, analysis_stages())
+        PipelineRunner().run(ctx, analysis_stages())
         self._observe_run(ctx)
         return self.select_sections(ctx.sections_per_page)
 
@@ -189,7 +181,6 @@ def build_wrapper(
     samples: Sequence[SampleInput],
     config: Optional[MSEConfig] = None,
     obs: ObserverLike = NULL_OBSERVER,
-    jobs: int = 1,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
 ) -> EngineWrapper:
@@ -197,7 +188,6 @@ def build_wrapper(
     return MSE(
         config,
         obs=obs,
-        jobs=jobs,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
     ).build_wrapper(samples)

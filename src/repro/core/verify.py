@@ -26,16 +26,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.model import SectionInstance
 
-from repro.core.dse import clean_page_lines
-from repro.core.wrapper import EngineWrapper, apply_section_wrapper
+from repro.core.wrapper import (
+    EngineWrapper,
+    apply_section_wrapper,
+    render_result_page,
+)
 from repro.features.cohesion import inter_record_distance
 from repro.features.record_distance import RecordDistanceCache
 from repro.htmlmod.dom import Document, Element
-from repro.htmlmod.parser import parse_html
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.perf.fingerprints import ATTR_INTERNER
 from repro.perf.kernels import DINR_MEMO
-from repro.render.layout import render_page
 
 #: mean Drec above which a section's records no longer cohere
 HOMOGENEITY_LIMIT = 0.45
@@ -192,13 +193,7 @@ def check_wrapper(
     record counts) lower it hard.
     """
     with obs.span("check"):
-        if isinstance(markup_or_document, Document):
-            document = markup_or_document
-        else:
-            document = parse_html(markup_or_document)
-        page = render_page(document)
-        clean_page_lines(page, query.split())
-
+        page = render_result_page(markup_or_document, query)
         instances = [
             apply_section_wrapper(wrapper, page) for wrapper in engine.wrappers
         ]
@@ -268,10 +263,11 @@ def health_from_applications(
 
     ``instances`` is aligned with ``engine.wrappers`` — one (possibly
     None) :class:`SectionInstance` per section wrapper, as produced by
-    :func:`repro.core.wrapper.apply_section_wrapper` or by the compiled
-    serving path.  :func:`check_wrapper` is exactly render + apply-all +
-    this function; the compiled path reuses the same applications for
-    extraction *and* health, so both stay bit-identical by construction.
+    :func:`repro.core.wrapper.apply_section_wrapper`.
+    :func:`check_wrapper` is exactly render + apply-all + this function;
+    the serving path (:mod:`repro.perf.serve`) reuses one page's
+    :class:`~repro.core.wrapper.PageApplications` for extraction *and*
+    health, so both stay bit-identical by construction.
     """
     cache = RecordDistanceCache(engine.config)
     outcomes: List[SectionHealth] = []

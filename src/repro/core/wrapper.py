@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -49,7 +48,7 @@ from repro.htmlmod.dom import Document, Element
 from repro.htmlmod.parser import parse_html
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.render.layout import render_page
-from repro.render.lines import ContentLine, RenderedPage
+from repro.render.lines import RenderedPage
 from repro.render.styles import TextAttr
 from repro.tagpath.paths import MergedTagPath, TagPath
 
@@ -212,21 +211,11 @@ def _derive_separator(instances: Sequence[SectionInstance]) -> SeparatorRule:
 # ---------------------------------------------------------------------------
 
 
-#: ``span_of`` hook: a precomputed element -> line-span lookup (see
-#: :class:`repro.perf.serve.PageIndex`); None falls back to the page's
-#: per-call subtree walk.
-SpanLookup = Callable[[Element], Optional[Tuple[int, int]]]
-
-
 def partition_subtree_records(
-    page: RenderedPage,
-    subtree: Element,
-    separator: SeparatorRule,
-    span_of: Optional[SpanLookup] = None,
+    page: RenderedPage, subtree: Element, separator: SeparatorRule
 ) -> List[Block]:
     """Partition a located section subtree into record blocks."""
-    lookup = span_of if span_of is not None else page.line_range_of_element
-    span = lookup(subtree)
+    span = page.line_range_of_element(subtree)
     if span is None:
         return []
     start, end = span
@@ -237,7 +226,7 @@ def partition_subtree_records(
     for child in subtree.children:
         if not isinstance(child, Element):
             continue
-        child_span = lookup(child)
+        child_span = page.line_range_of_element(child)
         if child_span is None:
             continue
         if separator.kind == "per-child" or child.tag == separator.tag:
@@ -351,28 +340,78 @@ def _bound_by_markers(
     lbm: Optional[int] = start - 1 if start - 1 >= 0 else None
     rbm: Optional[int] = end + 1 if end + 1 < len(page.lines) else None
     hits = 0
-
-    def text_key(line: ContentLine) -> str:
-        return line.cleaned or line.text.lower()
-
-    if wrapper.lbm_texts:
-        for number in range(max(0, start - 1), end + 1):
-            if text_key(page.lines[number]) in wrapper.lbm_texts:
-                lbm = number
-                records = [r for r in records if r.start > number]
-                hits += 1
-                break
-    if wrapper.rbm_texts and records:
+    left = _first_marker(page, wrapper.lbm_texts, max(0, start - 1), end + 1)
+    if left is not None:
+        lbm = left
+        records = [r for r in records if r.start > left]
+        hits += 1
+    if records:
         # The first marker occurrence after the section's first record
         # bounds it on the right (later occurrences belong to later
         # sections sharing the same marker text, e.g. "more" footers).
-        for number in range(records[0].start + 1, min(len(page.lines), end + 2)):
-            if text_key(page.lines[number]) in wrapper.rbm_texts:
-                rbm = number
-                records = [r for r in records if r.end < number]
-                hits += 1
-                break
+        right = _first_marker(
+            page,
+            wrapper.rbm_texts,
+            records[0].start + 1,
+            min(len(page.lines), end + 2),
+        )
+        if right is not None:
+            rbm = right
+            records = [r for r in records if r.end < right]
+            hits += 1
     return records, lbm, rbm, hits
+
+
+def _first_marker(
+    page: RenderedPage, texts: Set[str], lo: int, hi: int
+) -> Optional[int]:
+    """The first line in ``range(lo, hi)`` whose text key is in ``texts``."""
+    if not texts:
+        return None
+    lines = page.lines
+    for number in range(lo, hi):
+        line = lines[number]
+        if (line.cleaned or line.text.lower()) in texts:
+            return number
+    return None
+
+
+def render_result_page(
+    markup_or_document: Union[str, Document],
+    query: str = "",
+    obs: ObserverLike = NULL_OBSERVER,
+) -> RenderedPage:
+    """Parse, render and query-clean one result page (span ``render``).
+
+    ``query`` is the query string that produced the page; its terms are
+    cleaned out of the content lines so semi-dynamic boundary markers
+    match the wrapper's cleaned marker texts.
+    """
+    with obs.span("render"):
+        if isinstance(markup_or_document, Document):
+            document = markup_or_document
+        else:
+            document = parse_html(markup_or_document)
+        page = render_page(document)
+        clean_page_lines(page, query.split())
+        obs.count("render.lines", len(page.lines))
+    return page
+
+
+@dataclass
+class PageApplications:
+    """One page's per-schema application results.
+
+    ``family_sections`` holds every section the families located, in
+    family order; ``wrapper_instances`` is aligned with
+    ``engine.wrappers`` (every wrapper applied on its own).  The page's
+    extraction (:meth:`EngineWrapper.assemble`) and its wrapper health
+    (:func:`repro.core.verify.health_from_applications`) are both built
+    from this one object.
+    """
+
+    family_sections: List[Tuple[str, SectionInstance]]
+    wrapper_instances: List[Optional[SectionInstance]]
 
 
 class EngineWrapper:
@@ -396,6 +435,57 @@ class EngineWrapper:
         )
 
     # -- application ------------------------------------------------------
+    def apply(
+        self, page: RenderedPage, obs: ObserverLike = NULL_OBSERVER
+    ) -> PageApplications:
+        """Apply every family and every section wrapper to one page.
+
+        ``page`` is a rendered, query-cleaned page
+        (:func:`render_result_page`); the work runs under the spans
+        ``families`` and ``wrappers``.
+        """
+        with obs.span("families"):
+            family_sections = [
+                found for family in self.families for found in family.apply(page)
+            ]
+            obs.count("extract.family_sections", len(family_sections))
+        with obs.span("wrappers"):
+            wrapper_instances = [
+                apply_section_wrapper(wrapper, page) for wrapper in self.wrappers
+            ]
+        return PageApplications(family_sections, wrapper_instances)
+
+    def assemble(
+        self, applications: PageApplications, obs: ObserverLike = NULL_OBSERVER
+    ) -> PageExtraction:
+        """The page's extraction from its application results.
+
+        Family sections come first; a wrapper's instance joins only when
+        no family located its schema.  Overlapping claims are resolved
+        by :func:`_dedup_instances`, and sections come out in page order.
+        """
+        instances = list(applications.family_sections)
+        found_by_family = {schema_id for schema_id, _ in instances}
+        for wrapper, instance in zip(
+            self.wrappers, applications.wrapper_instances
+        ):
+            if instance is not None and wrapper.schema_id not in found_by_family:
+                instances.append((wrapper.schema_id, instance))
+        deduped = _dedup_instances(instances)
+        obs.count("extract.dedup_dropped", len(instances) - len(deduped))
+        deduped.sort(key=lambda item: item[1].start)
+        obs.count("extract.sections", len(deduped))
+        obs.count(
+            "extract.records",
+            sum(len(instance.records) for _, instance in deduped),
+        )
+        return PageExtraction(
+            sections=tuple(
+                section_to_extracted(instance, schema_id)
+                for schema_id, instance in deduped
+            )
+        )
+
     def extract(
         self,
         markup_or_document: Union[str, Document],
@@ -410,47 +500,8 @@ class EngineWrapper:
         optional :class:`repro.obs.Observer`: extraction runs under the
         spans ``render``, ``families`` and ``wrappers``.
         """
-        with obs.span("render"):
-            if isinstance(markup_or_document, Document):
-                document = markup_or_document
-            else:
-                document = parse_html(markup_or_document)
-            page = render_page(document)
-            clean_page_lines(page, query.split())
-            obs.count("render.lines", len(page.lines))
-
-        instances: List[Tuple[str, SectionInstance]] = []
-
-        with obs.span("families"):
-            found_by_family: Set[str] = set()
-            for family in self.families:
-                for schema_id, instance in family.apply(page):
-                    instances.append((schema_id, instance))
-                    found_by_family.add(schema_id)
-            obs.count("extract.family_sections", len(instances))
-
-        with obs.span("wrappers"):
-            for wrapper in self.wrappers:
-                if wrapper.schema_id in found_by_family:
-                    continue  # the family already located this schema
-                found = apply_section_wrapper(wrapper, page)
-                if found is not None:
-                    instances.append((wrapper.schema_id, found))
-
-            deduped = _dedup_instances(instances)
-            obs.count("extract.dedup_dropped", len(instances) - len(deduped))
-            deduped.sort(key=lambda item: item[1].start)
-            obs.count("extract.sections", len(deduped))
-            obs.count(
-                "extract.records",
-                sum(len(instance.records) for _, instance in deduped),
-            )
-        return PageExtraction(
-            sections=tuple(
-                section_to_extracted(instance, schema_id)
-                for schema_id, instance in deduped
-            )
-        )
+        page = render_result_page(markup_or_document, query, obs)
+        return self.assemble(self.apply(page, obs), obs)
 
 
 def _dedup_instances(

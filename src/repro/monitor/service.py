@@ -3,7 +3,7 @@
 :class:`WrapperMonitor` is a deterministic state machine over a stream
 of served pages:
 
-``healthy`` — every page is scored through the engine's *compiled*
+``healthy`` — every page is scored through the engine's serving
 wrapper (:func:`repro.perf.serve.compile_wrapper`): one shared render
 yields the page's extraction and a health document bit-identical to
 ``check_wrapper``'s, and the health's metric dict feeds the
@@ -88,8 +88,6 @@ class MonitorConfig:
     retry_every: int = 4
     #: checkpoint directory for resumable re-induction (None = in-memory)
     checkpoint_dir: Optional[str] = None
-    #: worker processes for re-induction page stages
-    jobs: int = 1
     #: worker processes for batch serving (:meth:`WrapperMonitor
     #: .serve_many`); 1 = in-process serial loop
     serve_jobs: int = 1
@@ -216,7 +214,7 @@ class WrapperMonitor:
     def serve_page(self, markup: str, query: str = "") -> ServedPage:
         """Serve one page: extraction plus monitored health, one render.
 
-        The compiled wrapper applies every schema once and assembles both
+        The serving wrapper applies every schema once and assembles both
         the page's :class:`~repro.core.model.PageExtraction` and its
         health from the shared results, so a monitored serving loop pays
         one render+apply pass per page instead of the two an
@@ -365,7 +363,6 @@ class WrapperMonitor:
                 list(samples),
                 config=self.mse_config,
                 obs=self.obs,
-                jobs=cfg.jobs,
                 checkpoint_dir=cfg.checkpoint_dir,
                 resume=cfg.checkpoint_dir is not None,
             )
@@ -379,8 +376,8 @@ class WrapperMonitor:
             resumed=cfg.checkpoint_dir is not None,
         )
 
-        # The candidate is compiled up front: its health check runs on
-        # the compiled path, and a successful swap reuses the compilation.
+        # The candidate's health check runs on the serving path, and a
+        # successful swap reuses the same serving wrapper.
         compiled_candidate = compile_wrapper(candidate)
         post = compiled_candidate.serve(markup, query, obs=self.obs).health
         recovered = post.score >= cfg.threshold

@@ -8,19 +8,20 @@ compute side while keeping every result bit-identical to the reference
 implementations:
 
 - :mod:`repro.perf.fingerprints` — per-block compact signatures:
-  attribute-set bitmasks (Dtal by popcount), interned feature tuples,
-  flattened post-order tag-forest signatures, plus the process-wide
-  text interner the serving path keys its marker tables on;
+  attribute-set bitmasks (Dtal by popcount), interned feature tuples
+  and flattened post-order tag-forest signatures;
 - :mod:`repro.perf.kernels` — process-wide tree/forest distance memos
   keyed on those signatures, with hit/miss statistics surfaced as
   ``perf.*`` observability gauges;
-- :mod:`repro.perf.serve` — the *extraction* hot path: compiled engine
-  wrappers (one merged tagpath automaton per engine, precompiled marker
-  tables), the shared per-page line/span index, and the batch
-  ``extract_many`` entry point behind ``python -m repro serve``;
+- :mod:`repro.perf.serve` — the serving path: one shared render per
+  page, from which the engine wrapper's extraction *and* its health
+  are assembled (one apply pass, the same
+  :func:`~repro.core.wrapper.apply_section_wrapper` code the
+  interpreted path runs), and the batch ``extract_many`` entry point
+  behind ``python -m repro serve``;
 - :mod:`repro.perf.server` — the warm persistent worker pool:
-  :class:`~repro.perf.server.Server` spawns compiled-serving workers
-  once, primes their per-process memos over representative pages, and
+  :class:`~repro.perf.server.Server` spawns serving workers once,
+  primes their per-process memos over representative pages, and
   amortizes IPC with auto-sized task chunks across repeated batches.
 
 See the "Performance" section of DESIGN.md for how the layers fit, and
@@ -32,11 +33,9 @@ from typing import Any
 
 from repro.perf.fingerprints import (
     ATTR_INTERNER,
-    TEXT_INTERNER,
     TUPLE_INTERNER,
     AttrInterner,
     BlockFingerprint,
-    TextInterner,
     TupleInterner,
     block_fingerprint,
     interned_forest_signature,
@@ -61,12 +60,9 @@ from repro.perf.kernels import (
 # repro.perf.serve` also works directly.
 _SERVE_EXPORTS = frozenset(
     {
-        "CompiledSectionWrapper",
         "CompiledWrapper",
-        "PageApplications",
         "PageIndex",
         "ServedPage",
-        "TagPathAutomaton",
         "build_page_index",
         "compile_wrapper",
         "extract_many",
@@ -91,21 +87,16 @@ def __getattr__(name: str) -> Any:
 __all__ = [  # lint: allow API01 -- serve names resolve lazily via module __getattr__ (PEP 562)
     "ATTR_INTERNER",
     "FOREST_MEMO",
-    "TEXT_INTERNER",
     "TREE_MEMO",
     "TUPLE_INTERNER",
     "AttrInterner",
     "BlockFingerprint",
-    "CompiledSectionWrapper",
     "CompiledWrapper",
-    "PageApplications",
     "PageIndex",
     "PairMemo",
     "ServedPage",
     "Server",
     "SignedTree",
-    "TagPathAutomaton",
-    "TextInterner",
     "TupleInterner",
     "auto_chunksize",
     "block_fingerprint",

@@ -28,7 +28,6 @@ from repro.algorithms.tree_edit import OrderedTree, tree_edit_distance
 from repro.obs import ObserverLike
 from repro.perf.fingerprints import (
     ATTR_INTERNER,
-    TEXT_INTERNER,
     TUPLE_INTERNER,
     Interned,
     interned_forest_signature,
@@ -241,7 +240,6 @@ def kernel_cache_stats() -> Dict[str, Dict[str, float]]:
         "record_memo": RECORD_MEMO.stats(),
         "dinr_memo": DINR_MEMO.stats(),
         "attr_interner": ATTR_INTERNER.stats(),
-        "text_interner": TEXT_INTERNER.stats(),
         "tuple_interner": {"entries": len(TUPLE_INTERNER)},
     }
 
@@ -253,7 +251,6 @@ def clear_kernel_caches() -> None:
     RECORD_MEMO.clear()
     DINR_MEMO.clear()
     ATTR_INTERNER.clear()
-    TEXT_INTERNER.clear()
     TUPLE_INTERNER.clear()
 
 

@@ -10,7 +10,7 @@ round-trip.  ``BENCH_serve.json`` recorded the result — a 4-worker pool
 :class:`Server` keeps the pool alive instead:
 
 - **Spawn once.**  Workers are forked at :meth:`Server.start` (or on
-  first use) and stay resident across calls.  Each worker compiles the
+  first use) and stay resident across calls.  Each worker wraps the
   engine wrappers once and then runs a *priming pass* over caller-chosen
   representative pages, so the per-process kernel memos and interners
   are warm before the first real batch arrives.  Per-worker cache
@@ -35,11 +35,11 @@ round-trip.  ``BENCH_serve.json`` recorded the result — a 4-worker pool
   and rebuilds draw from the same ``max_restarts`` budget and raise
   once it is exhausted.
 
-Results are bit-identical to the serial compiled path (and therefore to
+Results are bit-identical to the serial serving path (and therefore to
 the interpreted :meth:`~repro.core.wrapper.EngineWrapper.extract` /
 ``check_wrapper`` pair): workers run the exact same
-:class:`~repro.perf.serve.CompiledWrapper` code on the exact same page
-index, and the parity suite asserts it corpus-wide.
+:class:`~repro.perf.serve.CompiledWrapper` code on the exact same
+render, and the parity suite asserts it.
 
 Per-worker observability rides the same protocol: when the caller's
 observer is enabled each worker keeps its own
@@ -77,7 +77,12 @@ from repro.core.model import PageExtraction
 from repro.core.wrapper import EngineWrapper
 from repro.obs import NULL_OBSERVER, Observer, ObserverLike
 from repro.perf.kernels import kernel_cache_stats
-from repro.perf.serve import CompiledWrapper, ServedPage, build_page_index
+from repro.perf.serve import (
+    CompiledWrapper,
+    ServedPage,
+    assign_wrappers,
+    build_page_index,
+)
 
 #: one unit of worker work: (markup, query, wrapper ids to apply)
 _PageTask = Tuple[str, str, Tuple[int, ...]]
@@ -121,21 +126,6 @@ def auto_chunksize(page_count: int, workers: int) -> int:
     if extra:
         chunk += 1
     return max(1, min(chunk, _MAX_CHUNKSIZE))
-
-
-def _resolve_assignments(
-    count: int, wrapper_of: Optional[Sequence[int]], wrapper_count: int
-) -> List[Tuple[int, ...]]:
-    """Per-page wrapper-id tuples (every wrapper unless ``wrapper_of``)."""
-    if wrapper_of is not None and len(wrapper_of) != count:
-        raise ValueError("wrapper_of must assign one wrapper per page")
-    if wrapper_of is None:
-        everyone = tuple(range(wrapper_count))
-        return [everyone] * count
-    for wrapper_id in wrapper_of:
-        if not 0 <= wrapper_id < wrapper_count:
-            raise ValueError(f"wrapper_of index {wrapper_id} out of range")
-    return [(wrapper_id,) for wrapper_id in wrapper_of]
 
 
 def _prime_worker(
@@ -211,7 +201,7 @@ def _worker_main(
     obs: ObserverLike = Observer() if observed else NULL_OBSERVER
     compiled = [CompiledWrapper(engine) for engine in engines]
     primed = _prime_worker(compiled, prime_tasks, obs)
-    # The compiled programs and primed memos are permanent for this
+    # The serving wrappers and primed memos are permanent for this
     # worker's lifetime; freeze them out of the cyclic GC so later
     # collections never re-scan the (large) warm cache population.
     gc.collect()
@@ -235,7 +225,7 @@ def _worker_main(
 
 
 class Server:
-    """A long-lived pool of pre-warmed compiled-serving workers.
+    """A long-lived pool of pre-warmed serving workers.
 
     ``wrappers`` may mix plain :class:`EngineWrapper` and
     :class:`CompiledWrapper` (workers compile their own copies).
@@ -252,7 +242,7 @@ class Server:
 
     Batches may be submitted repeatedly; workers stay resident (that is
     the point).  Results are deterministic and bit-identical to the
-    serial compiled path regardless of ``jobs``/``chunksize``; a worker
+    serial serving path regardless of ``jobs``/``chunksize``; a worker
     crash is detected, the worker respawned and its chunk retried, so
     pages are never lost or duplicated.
     """
@@ -282,7 +272,7 @@ class Server:
             wrapper.engine if isinstance(wrapper, CompiledWrapper) else wrapper
             for wrapper in wrappers
         ]
-        prime_ids = _resolve_assignments(
+        prime_ids = assign_wrappers(
             len(prime_pages), prime_of, len(self._engines)
         )
         self._prime: Tuple[_PageTask, ...] = tuple(
@@ -372,16 +362,26 @@ class Server:
                 stalled += 1
                 if stalled >= _STALL_POLLS:
                     break  # wedged workers: the join/terminate below cleans up
-                for worker_id in sorted(waiting):
-                    proc = self._workers.get(worker_id)
-                    if proc is None or not proc.is_alive():
-                        waiting.discard(worker_id)
-                continue
-            stalled = 0
-            if message[0] == "stats":
-                self._on_final_stats(message[1], message[2], message[3])
-                waiting.discard(message[1])
-            # late "done"/"error"/"primed" messages are harmless here
+                dead = {
+                    worker_id
+                    for worker_id in waiting
+                    if not self._workers[worker_id].is_alive()
+                }
+                if not dead:
+                    continue
+                # A worker queues its final stats and then exits, so a
+                # dead worker's stats may still be on the queue: read
+                # everything already there before giving up on it.
+                messages = self._drain()
+                waiting -= dead
+            else:
+                stalled = 0
+                messages = [message]
+            for message in messages:
+                if message[0] == "stats":
+                    self._on_final_stats(message[1], message[2], message[3])
+                    waiting.discard(message[1])
+                # late "done"/"error"/"primed" messages are harmless here
         for proc in self._workers.values():
             proc.join(timeout=5)
             if proc.is_alive():
@@ -446,6 +446,15 @@ class Server:
         except Empty:
             return None
         return message
+
+    def _drain(self) -> List[Tuple[Any, ...]]:
+        """Every message already on the result queue, without blocking."""
+        messages: List[Tuple[Any, ...]] = []
+        while True:
+            try:
+                messages.append(self._result_queue.get_nowait())
+            except Empty:
+                return messages
 
     def _reap(self) -> None:
         """Respawn dead workers; requeue whatever they were chewing on.
@@ -617,7 +626,7 @@ class Server:
     ) -> List[List[Any]]:
         if self._closed:
             raise RuntimeError("Server is closed")
-        assignments = _resolve_assignments(
+        assignments = assign_wrappers(
             len(pages), wrapper_of, len(self._engines)
         )
         if not pages:

@@ -1,13 +1,16 @@
-"""The pipeline runner: executes stages with checkpoints and fan-out.
+"""The pipeline runner: executes stages with checkpoints and resume.
 
 The runner walks an ordered stage list (:func:`repro.pipeline.stages
 .induction_stages`) over one :class:`InductionContext`:
 
-- consecutive *page* stages form a group; with ``jobs > 1`` the group
-  fans its pages out over a process pool (each worker deterministically
-  re-renders its page, runs the group's stage chain and ships encoded
-  artifacts plus its observer stats back);
-- *barrier* stages always run serially in the parent.
+- a *page* stage runs once per sample page, under one span with the
+  pages inside;
+- a *barrier* stage runs once over every page's artifacts.
+
+Everything runs in the calling process.  Per-page induction work is a
+few milliseconds, so shipping pages to worker processes cost more than
+it saved; corpus-scale callers parallelize across engines instead
+(``eval --jobs``).
 
 With an :class:`~repro.pipeline.artifacts.ArtifactStore` attached, every
 checkpointed stage's outputs are persisted and a resumed run loads them
@@ -20,74 +23,28 @@ grown sample set sound (the DSE barrier re-runs, so everything past it
 recomputes while per-page MRE artifacts are reused).
 
 Stages are pure over rendering (no wall-clock, no randomness, no
-iteration-order dependence — enforced by ``repro.analysis``), so serial,
-parallel and resumed runs produce bit-identical wrappers.
+iteration-order dependence — enforced by ``repro.analysis``), so fresh
+and resumed runs produce bit-identical wrappers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from contextlib import contextmanager
-
-from repro.core.dse import clean_page_lines
-from repro.core.mse_config import MSEConfig
 from repro.features.record_distance import RecordDistanceCache
-from repro.htmlmod.parser import parse_html
-from repro.obs import NULL_OBSERVER, Observer
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.context import InductionContext
 from repro.pipeline.stages import (
-    PAGE_STAGES,
     BarrierStage,
     PageStage,
     Stage,
     decode_artifact,
     encode_artifact,
 )
-from repro.render.layout import render_page
 
 #: freshness mark meaning "every page" (barrier-scope artifacts)
 _ALL = -1
-
-#: one fan-out task: (page index, markup, query, stage names, encoded
-#: inputs, config, parent-observer-enabled)
-_WorkerTask = Tuple[int, str, str, Tuple[str, ...], Dict[str, Any], MSEConfig, bool]
-#: one fan-out result: (page index, encoded outputs, observer stats)
-_WorkerResult = Tuple[int, Dict[str, Any], Optional[Dict[str, Any]]]
-
-
-def _page_worker(task: _WorkerTask) -> _WorkerResult:
-    """Run a chain of page stages for one page inside a pool worker.
-
-    Top-level (multiprocessing pickles it).  The worker re-renders the
-    page from its HTML — rendering is deterministic, so the decoded
-    input artifacts attach to the same lines as in the parent — runs the
-    requested stages and returns their encoded outputs together with the
-    worker observer's stats document (merged into the parent observer).
-    """
-    index, markup, query, stage_names, encoded_inputs, config, observed = task
-    obs = Observer() if observed else NULL_OBSERVER
-    ctx = InductionContext(samples=[(markup, query)], config=config, obs=obs)
-    page = render_page(parse_html(markup))
-    ctx.artifacts["page"] = [page]
-    ctx.caches = [RecordDistanceCache(config.features)]
-    if "dss" in encoded_inputs or "csbms" in encoded_inputs:
-        # Post-DSE stages read the cleaned line texts DSE fills in.
-        clean_page_lines(page, query.split())
-    for name, encoded in encoded_inputs.items():
-        ctx.artifacts[name] = [decode_artifact(name, encoded, page)]
-
-    outputs: Dict[str, Any] = {}
-    for stage_name in stage_names:
-        stage = PAGE_STAGES[stage_name]()
-        with _booked_span(ctx, stage):
-            produced = stage.run_page(ctx, 0)
-        for name, value in produced.items():
-            ctx.set_page_value(name, 0, value)
-            outputs[name] = encode_artifact(name, value)
-    return index, outputs, (obs.stats() if observed else None)
 
 
 @contextmanager
@@ -120,10 +77,7 @@ def _cache_totals(caches: Sequence[RecordDistanceCache]) -> Tuple[int, int]:
 class PipelineRunner:
     """Executes a stage list over a context; see the module docstring."""
 
-    def __init__(
-        self, jobs: int = 1, store: Optional[ArtifactStore] = None
-    ) -> None:
-        self.jobs = max(1, jobs)
+    def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store
         #: artifact name -> page indices recomputed this run (_ALL = all)
         self._fresh: Dict[str, Set[int]] = {}
@@ -132,13 +86,13 @@ class PipelineRunner:
     def run(self, ctx: InductionContext, stages: Sequence[Stage]) -> InductionContext:
         """Execute the stages in order; artifacts land in ``ctx``."""
         self._fresh = {}
-        for group in _grouped(stages):
+        for stage in stages:
             self._ensure_caches(ctx)
-            if isinstance(group[0], BarrierStage):
-                assert len(group) == 1
-                self._run_barrier(ctx, group[0])
+            if isinstance(stage, BarrierStage):
+                self._run_barrier(ctx, stage)
             else:
-                self._run_page_group(ctx, [s for s in group if isinstance(s, PageStage)])
+                assert isinstance(stage, PageStage)
+                self._run_page_stage(ctx, stage)
         return ctx
 
     # -- freshness ------------------------------------------------------
@@ -184,163 +138,48 @@ class PipelineRunner:
         if store is not None:
             store.save_barrier(stage.name, stage.encode(ctx))
 
-    # -- page-stage groups ----------------------------------------------
-    def _run_page_group(
-        self, ctx: InductionContext, group: List[PageStage]
-    ) -> None:
-        store = self.store
-        cached: Dict[str, List[Optional[Any]]] = {}
-        for stage in group:
-            if store is not None and stage.checkpointed:
-                cached[stage.name] = store.load_pages(stage.name)
+    # -- page stages ----------------------------------------------------
+    def _run_page_stage(self, ctx: InductionContext, stage: PageStage) -> None:
+        """Run one page stage on every page whose checkpoint is missing
+        or whose inputs were recomputed; decode the rest.
 
-        # Per page: index of the first stage in the chain that must run
-        # (missing checkpoint or fresh inputs); everything after it runs
-        # too, since its inputs become fresh.
-        starts: List[int] = []
-        for index in range(ctx.page_count):
-            start = len(group)
-            for position, stage in enumerate(group):
-                values = cached.get(stage.name)
-                if (
-                    values is None
-                    or values[index] is None
-                    or self._inputs_fresh(stage.requires, index)
-                ):
-                    start = position
-                    break
-            starts.append(start)
-
-        # Decode the cached prefix of every page's chain.
-        for position, stage in enumerate(group):
-            values = cached.get(stage.name)
-            for index in range(ctx.page_count):
-                if position < starts[index] and values is not None:
-                    encoded = values[index]
-                    assert encoded is not None
-                    for name in stage.provides:
-                        ctx.set_page_value(
-                            name,
-                            index,
-                            decode_artifact(name, encoded[name], ctx.pages[index]),
-                        )
-
-        pending = [index for index in range(ctx.page_count) if starts[index] < len(group)]
-        fanout = (
-            self.jobs > 1
-            and len(pending) > 1
-            and all(stage.fanout for stage in group)
-            and all(markup for markup, _ in ctx.samples)
-        )
-        computed: Dict[str, Dict[int, Dict[str, Any]]] = {
-            stage.name: {} for stage in group
-        }
-        if fanout:
-            self._run_group_parallel(ctx, group, starts, pending, computed)
-        else:
-            self._run_group_serial(ctx, group, starts, computed)
-
-        for index in pending:
-            for stage in group[starts[index]:]:
-                for name in stage.provides:
-                    if name != "page":
-                        self._mark_fresh(name, index)
-
-        if store is not None:
-            for stage in group:
-                if not stage.checkpointed:
-                    continue
-                encoded_pages = {
-                    store.page_ids[index]: encoded
-                    for index, encoded in sorted(computed[stage.name].items())
-                }
-                if encoded_pages:
-                    store.save_pages(stage.name, encoded_pages)
-
-    def _run_group_serial(
-        self,
-        ctx: InductionContext,
-        group: List[PageStage],
-        starts: List[int],
-        computed: Dict[str, Dict[int, Dict[str, Any]]],
-    ) -> None:
-        """One span per stage, pages inside — the monolith's trace shape."""
-        want_encoding = self.store is not None
-        for position, stage in enumerate(group):
-            indices = [i for i in range(ctx.page_count) if starts[i] <= position]
-            if not indices:
-                continue
-            with _booked_span(ctx, stage):
-                for index in indices:
-                    produced = stage.run_page(ctx, index)
-                    for name, value in produced.items():
-                        ctx.set_page_value(name, index, value)
-                    if want_encoding and stage.checkpointed:
-                        computed[stage.name][index] = {
-                            name: encode_artifact(name, value)
-                            for name, value in produced.items()
-                        }
-
-    def _run_group_parallel(
-        self,
-        ctx: InductionContext,
-        group: List[PageStage],
-        starts: List[int],
-        pending: List[int],
-        computed: Dict[str, Dict[int, Dict[str, Any]]],
-    ) -> None:
-        """Fan pending pages out over a process pool.
-
-        Workers return *encoded* artifacts; the parent decodes them
-        against its own rendered pages, so downstream barrier stages see
-        exactly what a serial run would have produced (the codecs are
-        lossless over line spans).  Worker observer stats merge into the
-        parent observer by span path, keeping one aggregate trace.
+        A page that re-runs marks its outputs fresh, so the next stage
+        re-runs on that page too.
         """
-        provides_at: Dict[int, Tuple[str, ...]] = {}
-        tasks: List[_WorkerTask] = []
+        store = self.store if stage.checkpointed else None
+        cached = store.load_pages(stage.name) if store is not None else None
+        pending: List[int] = []
+        for index in range(ctx.page_count):
+            encoded = cached[index] if cached is not None else None
+            if encoded is None or self._inputs_fresh(stage.requires, index):
+                pending.append(index)
+                continue
+            for name in stage.provides:
+                ctx.set_page_value(
+                    name,
+                    index,
+                    decode_artifact(name, encoded[name], ctx.pages[index]),
+                )
+        if not pending:
+            return
+
+        computed: Dict[str, Dict[str, Any]] = {}
+        with _booked_span(ctx, stage):
+            for index in pending:
+                produced = stage.run_page(ctx, index)
+                for name, value in produced.items():
+                    ctx.set_page_value(name, index, value)
+                if store is not None:
+                    computed[store.page_ids[index]] = {
+                        name: encode_artifact(name, value)
+                        for name, value in produced.items()
+                    }
         for index in pending:
-            chain = group[starts[index]:]
-            names = tuple(stage.name for stage in chain)
-            produced_names = {name for stage in chain for name in stage.provides}
-            required = [
-                name
-                for stage in chain
-                for name in stage.requires
-                if name != "page" and name not in produced_names
-            ]
-            inputs = {
-                name: encode_artifact(name, ctx.artifacts[name][index])
-                for name in dict.fromkeys(required)
-            }
-            markup, query = ctx.samples[index]
-            tasks.append(
-                (index, markup, query, names, inputs, ctx.config, ctx.obs.enabled)
-            )
-            provides_at[index] = tuple(sorted(produced_names))
-
-        collected: List[_WorkerResult] = []
-        with multiprocessing.Pool(processes=min(self.jobs, len(tasks))) as pool:
-            for result in pool.imap_unordered(_page_worker, tasks):
-                collected.append(result)
-        collected.sort(key=lambda item: item[0])
-
-        stage_of: Dict[str, str] = {
-            name: stage.name for stage in group for name in stage.provides
-        }
-        checkpointed = {stage.name for stage in group if stage.checkpointed}
-        for index, outputs, stats in collected:
-            page = ctx.pages[index]
-            for name in provides_at[index]:
-                encoded = outputs[name]
-                ctx.set_page_value(name, index, decode_artifact(name, encoded, page))
-                owner = stage_of[name]
-                if owner in checkpointed:
-                    computed[owner].setdefault(index, {})[name] = encoded
-            if stats is not None:
-                merge = getattr(ctx.obs, "merge_stats", None)
-                if merge is not None:
-                    merge(stats)
+            for name in stage.provides:
+                if name != "page":
+                    self._mark_fresh(name, index)
+        if store is not None:
+            store.save_pages(stage.name, computed)
 
     # -- helpers --------------------------------------------------------
     def _ensure_caches(self, ctx: InductionContext) -> None:
@@ -350,29 +189,3 @@ class PipelineRunner:
                 RecordDistanceCache(ctx.config.features) for _ in ctx.pages
             ]
 
-
-def _grouped(stages: Sequence[Stage]) -> Iterator[List[Stage]]:
-    """Split the stage list into fan-out units.
-
-    Consecutive page stages with the same ``fanout`` flag form one
-    group (their chains ship to a worker together, saving one re-render
-    per stage); every barrier stage is its own group.
-    """
-    group: List[Stage] = []
-    for stage in stages:
-        if isinstance(stage, PageStage) and (
-            not group
-            or (
-                isinstance(group[-1], PageStage)
-                and group[-1].fanout == stage.fanout
-            )
-        ):
-            group.append(stage)
-            continue
-        if group:
-            yield group
-        group = [stage] if isinstance(stage, PageStage) else []
-        if not isinstance(stage, PageStage):
-            yield [stage]
-    if group:
-        yield group

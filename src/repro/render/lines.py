@@ -10,7 +10,7 @@ features (tag paths, tag forests) can be computed for any span of lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.htmlmod.dom import Document, Element, Node, Text
 from repro.render.linetypes import LineType
@@ -65,7 +65,7 @@ class RenderedPage:
         self.document = document
         self.lines: List[ContentLine] = list(lines)
         self._leaf_to_line: Dict[int, int] = {}
-        for line in self.lines:  # lint: allow PERF01 -- one-pass leaf->line map build, linear in page leaves; this map is what lets PageIndex fold spans without re-walking subtrees
+        for line in self.lines:  # lint: allow PERF01 -- one-pass leaf->line map build, linear in page leaves; this map is what lets line_range_of_element stop at the first and last rendered leaf
             for leaf in line.leaves:
                 self._leaf_to_line[id(leaf)] = line.number
 
@@ -78,10 +78,9 @@ class RenderedPage:
     def leaf_line_map(self) -> Dict[int, int]:
         """The ``id(leaf) -> line number`` map backing the DOM<->line links.
 
-        Exposed (read-only by convention) so one-pass indexers — e.g.
-        :class:`repro.perf.serve.PageIndex` — can fold every element's
-        line span in a single post-order walk instead of re-walking each
-        subtree per :meth:`line_range_of_element` call.
+        Exposed (read-only by convention) for callers that fold a whole
+        subtree against line numbers in one walk, e.g. the
+        section-homogeneity memo key of :mod:`repro.core.verify`.
         """
         return self._leaf_to_line
 
@@ -98,15 +97,44 @@ class RenderedPage:
         return None
 
     def line_range_of_element(self, element: Element) -> Optional[Tuple[int, int]]:
-        """The [first, last] line numbers covered by an element, if any."""
-        numbers = [
-            self._leaf_to_line[id(node)]
-            for node in element.iter()
-            if id(node) in self._leaf_to_line
-        ]
-        if not numbers:
+        """The [first, last] line numbers covered by an element, if any.
+
+        Rendering walks the DOM pre-order, so rendered-leaf line numbers
+        never decrease in document order: the span runs from the line of
+        the element's *first* rendered leaf to the line of its *last*
+        one.  A forward and a backward pre-order scan each stop at the
+        first mapped node, instead of a min/max over the whole subtree.
+        An element that is itself a rendered leaf precedes its
+        descendants in document order, so it bounds the first line but
+        never the last.
+        """
+        leaf_line = self._leaf_to_line
+        first: Optional[int] = None
+        forward: List[Node] = [element]
+        while forward:
+            node = forward.pop()
+            first = leaf_line.get(id(node))
+            if first is not None:
+                break
+            if isinstance(node, Element):
+                forward.extend(reversed(node.children))
+        if first is None:
             return None
-        return min(numbers), max(numbers)
+        # The backward scan visits an element after its subtree: a mapped
+        # element leaves its own line on the stack beneath its children.
+        backward: List[Union[Node, int]] = [element]
+        while True:
+            item = backward.pop()
+            if isinstance(item, int):
+                return first, item
+            last = leaf_line.get(id(item))
+            if isinstance(item, Element) and item.children:
+                if last is not None:
+                    backward.append(last)
+                backward.extend(item.children)
+                continue
+            if last is not None:
+                return first, last
 
     # -- tag-structure helpers -----------------------------------------------
     def span_forest(self, start: int, end: int) -> List[Element]:

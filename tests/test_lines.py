@@ -1,6 +1,8 @@
-"""RenderedPage DOM-mapping tests: span forests and subtrees."""
+"""RenderedPage DOM-mapping tests: span forests, subtrees, line ranges."""
 
+from repro.htmlmod.dom import Element
 from repro.render.lines import deepest_common_ancestor
+from repro.testbed.corpus import load_engine_pages
 from tests.helpers import render
 
 PAGE = render(
@@ -74,3 +76,76 @@ class TestPageBasics:
     def test_dump_contains_lines(self):
         dump = PAGE.dump()
         assert "Header" in dump and "footer" in dump
+
+
+# -- line_range_of_element --------------------------------------------------
+
+#: every 17th engine: single- and multi-section templates alike
+CORPUS_SLICE = range(0, 119, 17)
+
+#: closing tags whose removal reshapes the parsed tree
+CLOSING_TAGS = ("</div>", "</li>", "</ul>", "</table>", "</tr>", "</td>", "</p>")
+
+
+def reference_line_range(page, element):
+    """The definition: min and max line over every rendered subtree node."""
+    leaf_line = page.leaf_line_map()
+    numbers = [
+        leaf_line[id(node)] for node in element.iter() if id(node) in leaf_line
+    ]
+    return (min(numbers), max(numbers)) if numbers else None
+
+
+def assert_ranges_match_reference(page):
+    elements = [
+        node for node in page.document.root.iter() if isinstance(node, Element)
+    ]
+    assert elements
+    for element in elements:
+        assert page.line_range_of_element(element) == reference_line_range(
+            page, element
+        ), element.tag
+
+
+def corpus_markup(engine_id=85):
+    return load_engine_pages(engine_id).pages[0]
+
+
+class TestLineRangeOfElement:
+    def test_fixture_spans(self):
+        ul = PAGE.span_subtree(1, 4)
+        assert PAGE.line_range_of_element(ul) == (1, 4)
+        assert PAGE.line_range_of_element(PAGE.document.root) == (0, 5)
+
+    def test_element_without_rendered_leaves(self):
+        page = render("<html><body><div></div><p>text</p></body></html>")
+        empty = next(
+            node for node in page.document.root.iter()
+            if isinstance(node, Element) and node.tag == "div"
+        )
+        assert page.line_range_of_element(empty) is None
+
+    def test_corpus_slice_matches_min_max_reference(self):
+        for engine_id in CORPUS_SLICE:
+            for markup in load_engine_pages(engine_id).pages:
+                assert_ranges_match_reference(render(markup))
+
+    def test_truncated_pages_match_reference(self):
+        markup = corpus_markup()
+        for cut in range(40, len(markup), 97):
+            assert_ranges_match_reference(render(markup[:cut]))
+
+    def test_pages_without_closing_tags_match_reference(self):
+        for engine_id in (3, 85, 110):
+            markup = corpus_markup(engine_id)
+            for tag in CLOSING_TAGS:
+                assert_ranges_match_reference(render(markup.replace(tag, "")))
+            stripped = markup
+            for tag in CLOSING_TAGS:
+                stripped = stripped.replace(tag, "")
+            assert_ranges_match_reference(render(stripped))
+
+    def test_deep_div_prefix_matches_reference(self):
+        for engine_id in (3, 85):
+            markup = corpus_markup(engine_id)
+            assert_ranges_match_reference(render("<div>" * 300 + markup))

@@ -220,7 +220,6 @@ class TestPairMemo:
             "record_memo",
             "dinr_memo",
             "attr_interner",
-            "text_interner",
             "tuple_interner",
         ):
             assert name in stats

@@ -1,4 +1,4 @@
-"""Compiled serving path tests (automaton, page index, parity)."""
+"""Serving path tests: serve == extract + check_wrapper, batch serving."""
 
 import json
 from dataclasses import asdict
@@ -7,19 +7,9 @@ import pytest
 
 from repro.core.mse import build_wrapper
 from repro.core.verify import _section_dinr_key, check_wrapper
-from repro.htmlmod.parser import parse_html
 from repro.perf.kernels import DINR_MEMO, clear_kernel_caches
-from repro.perf.serve import (
-    PageIndex,
-    TagPathAutomaton,
-    build_page_index,
-    compile_wrapper,
-    extract_many,
-)
-from repro.render.layout import render_page
-from repro.core.wrapper import POSITION_SLACK
-from repro.tagpath.paths import MergedTagPath
-from tests.helpers import make_records, render, sample_pages, simple_result_page
+from repro.perf.serve import build_page_index, compile_wrapper, extract_many
+from tests.helpers import make_records, sample_pages, simple_result_page
 
 
 @pytest.fixture(scope="module")
@@ -72,110 +62,7 @@ def extraction_doc(extraction):
     return json.dumps(asdict(extraction), sort_keys=True)
 
 
-# -- the merged tagpath automaton -------------------------------------------
-
-
-class TestAutomaton:
-    def test_matches_find_with_slack(self, engine):
-        """One automaton run == per-pref find_with_slack, element-wise."""
-        automaton = TagPathAutomaton()
-        prefs = [w.pref for w in engine.wrappers]
-        entries = [automaton.add(pref, POSITION_SLACK) for pref in prefs]
-        for markup, _query in unseen_pages():
-            root = parse_html(markup).root
-            located = automaton.run(root)
-            for pref, entry in zip(prefs, entries):
-                exact, slacked = pref.find_with_slack(root, POSITION_SLACK)
-                got_exact, got_slacked = located[entry]
-                assert got_exact == exact
-                assert got_slacked == slacked
-
-    def test_matches_plain_find(self, engine):
-        automaton = TagPathAutomaton()
-        prefs = [w.pref for w in engine.wrappers]
-        entries = [automaton.add(pref, 0) for pref in prefs]
-        for markup, _query in unseen_pages():
-            root = parse_html(markup).root
-            located = automaton.run(root)
-            for pref, entry in zip(prefs, entries):
-                assert located[entry][0] == pref.find(root, 0)
-
-    def test_unmatched_root_yields_empty(self):
-        automaton = TagPathAutomaton()
-        entry = automaton.add(
-            MergedTagPath(("xyzzy",), (None,), ({0},)), 0
-        )
-        root = parse_html("<html><body><p>x</p></body></html>").root
-        assert automaton.run(root)[entry] == ([], [])
-
-    def test_len_counts_entries(self, engine):
-        automaton = TagPathAutomaton()
-        for wrapper in engine.wrappers:
-            automaton.add(wrapper.pref, 1)
-        assert len(automaton) == len(engine.wrappers)
-
-
-# -- the shared page index --------------------------------------------------
-
-
-class TestPageIndex:
-    def page(self):
-        markup, _ = unseen_pages()[0]
-        return render(markup)
-
-    def test_span_of_matches_line_range(self):
-        from repro.htmlmod.dom import Element
-
-        page = self.page()
-        index = PageIndex(page)
-        for node in page.document.root.iter():
-            if isinstance(node, Element):
-                assert index.span_of(node) == page.line_range_of_element(node)
-
-    def test_span_of_cached(self):
-        page = self.page()
-        index = PageIndex(page)
-        element = page.document.root
-        assert index.span_of(element) is index.span_of(element)
-
-    def test_first_occurrence_matches_linear_scan(self):
-        page = self.page()
-        index = PageIndex(page)
-        keys = [line.cleaned or line.text.lower() for line in page.lines]
-        distinct = sorted(set(keys))
-        probes = [
-            tuple(distinct[:3]),
-            tuple(distinct[-2:]),
-            ("not-on-the-page",),
-            tuple(distinct[::4]),
-        ]
-        spans = [(0, len(page.lines) - 1), (2, 5), (5, 2), (3, 3)]
-        for texts in probes:
-            ids = tuple(index.key_ids[keys.index(t)] if t in keys else -1
-                        for t in texts)
-            for lo, hi in spans:
-                reference = next(
-                    (
-                        number
-                        for number in range(lo, hi + 1)
-                        if keys[number] in texts
-                    ),
-                    None,
-                )
-                assert index.first_occurrence(ids, lo, hi) == reference
-
-    def test_attr_mask_matches_interner(self):
-        from repro.perf.fingerprints import ATTR_INTERNER
-
-        page = self.page()
-        index = PageIndex(page)
-        for line in page.lines:
-            assert index.attr_mask(line.number) == ATTR_INTERNER.mask(
-                line.attrs
-            )
-
-
-# -- compiled == interpreted parity -----------------------------------------
+# -- serve == extract + check_wrapper parity --------------------------------
 
 
 class TestCompiledParity:
@@ -251,26 +138,6 @@ class TestExtractMany:
     def test_wrapper_of_length_mismatch(self, compiled):
         with pytest.raises(ValueError):
             extract_many(unseen_pages()[:2], [compiled], wrapper_of=[0])
-
-
-# -- interner generation guards ---------------------------------------------
-
-
-class TestGenerationGuards:
-    def test_stale_index_rejected(self, compiled):
-        markup, query = unseen_pages()[0]
-        index = build_page_index(markup, query)
-        clear_kernel_caches()
-        with pytest.raises(ValueError, match="stale PageIndex"):
-            compiled.extract_index(index)
-
-    def test_compiled_wrapper_self_heals_after_clear(self, engine, compiled):
-        markup, query = unseen_pages()[0]
-        before = extraction_doc(compiled.extract(markup, query))
-        clear_kernel_caches()
-        after = extraction_doc(compiled.extract(markup, query))
-        assert before == after
-        assert extraction_doc(engine.extract(markup, query)) == after
 
 
 # -- the section-homogeneity memo key ---------------------------------------

@@ -316,6 +316,35 @@ class TestTelemetry:
             assert "tree_memo" in stats["primed"]
             assert "dinr_memo" in stats["final"]
 
+    def test_final_stats_survive_a_poll_timeout_after_worker_exit(
+        self, engine
+    ):
+        """A worker queues its final stats and exits; if the parent's
+        poll times out before reading them, close() must still find
+        them on the queue instead of giving up on the dead worker."""
+        server = Server([engine], jobs=2)
+        server.start()
+        real_poll = server._poll
+        timed_out = []
+
+        def poll_after_exit():
+            if not timed_out:
+                timed_out.append(True)
+                for proc in server._workers.values():
+                    proc.join(timeout=30)
+                assert not any(
+                    proc.is_alive() for proc in server._workers.values()
+                )
+                return None
+            return real_poll()
+
+        server._poll = poll_after_exit
+        server.close()
+        assert timed_out
+        assert set(server.worker_stats) == {0, 1}
+        for stats in server.worker_stats.values():
+            assert "dinr_memo" in stats["final"]
+
     def test_observer_merges_worker_metrics(self, engine):
         from repro.obs import Observer
 

@@ -13,6 +13,7 @@ GATED_PACKAGES: Tuple[str, ...] = (
     "repro.core",
     "repro.features",
     "repro.algorithms",
+    "repro.htmlmod",
     "repro.perf",
     "repro.pipeline",
     "repro.monitor",

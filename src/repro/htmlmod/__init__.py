@@ -1,4 +1,4 @@
-"""HTML substrate: tokenizer, DOM, tree builder, serializer.
+"""HTML substrate: DOM, one-pass tree builder, serializer.
 
 This package replaces lxml / BeautifulSoup (not available offline) with a
 purpose-built parser whose output is exactly the tree structure the MSE
@@ -8,7 +8,6 @@ pipeline consumes.
 from repro.htmlmod.dom import Comment, Document, Element, Node, Text, collapse_whitespace
 from repro.htmlmod.parser import VOID_ELEMENTS, parse_html
 from repro.htmlmod.serializer import serialize, serialize_node
-from repro.htmlmod.tokens import tokenize
 
 __all__ = [
     "Comment",
@@ -20,6 +19,5 @@ __all__ = [
     "parse_html",
     "serialize",
     "serialize_node",
-    "tokenize",
     "VOID_ELEMENTS",
 ]

@@ -1,31 +1,32 @@
-"""HTML tree construction.
+"""HTML tree construction in one pass over the markup.
 
-Builds a :class:`repro.htmlmod.dom.Document` from the token stream produced
-by :mod:`repro.htmlmod.tokens`.  Implements the subset of the HTML5 tree
-construction rules that matters for result pages generated around 2006:
+:class:`TreeBuilder` is an :class:`html.parser.HTMLParser` subclass whose
+callbacks build a :class:`repro.htmlmod.dom.Document` directly.  The
+standard library does the lexing (attribute quoting styles, lowercased
+tag and attribute names, comments, doctypes, character references, raw
+``<script>``/``<style>`` text) and tolerates the malformed markup that
+real result pages are full of.  The builder implements the subset of
+the HTML5 tree construction rules that matters for result pages
+generated around 2006:
 
-- void elements (``<br>``, ``<img>``, ``<hr>``, ...) never take children;
+- void elements (``<br>``, ``<img>``, ``<hr>``, ...) and XML-style
+  self-closing tags (``<div/>``) never take children;
 - implied end tags: an opening ``<li>`` closes an open ``<li>``, ``<tr>``
   closes ``<tr>``/``<td>``, a block element closes an open ``<p>``, etc.;
 - stray end tags with no matching open element are ignored;
 - an end tag for a non-innermost open element closes the intervening
   elements (simple "popping" recovery);
-- missing ``<html>``/``<body>`` wrappers are synthesised.
+- missing ``<html>``/``<body>`` wrappers are synthesised;
+- elements are at most :data:`MAX_TREE_DEPTH` + 1 levels deep: one
+  opened deeper is flattened onto the open element at that depth.
 """
 
 from __future__ import annotations
 
-from typing import List
+from html.parser import HTMLParser
+from typing import List, Optional, Tuple
 
 from repro.htmlmod.dom import Comment, Document, Element, Text
-from repro.htmlmod.tokens import (
-    CommentToken,
-    DoctypeToken,
-    EndTag,
-    StartTag,
-    TextToken,
-    tokenize,
-)
 
 #: Elements that never have content.
 VOID_ELEMENTS = frozenset(
@@ -79,37 +80,41 @@ _SCOPE_BARRIERS = frozenset(
     }
 )
 
+#: Start tags that stay where they are instead of forcing a <body>.
+_HEAD_CONTENT = frozenset({"head", "title", "meta", "link", "base", "script", "style"})
 
-class TreeBuilder:
-    """Incremental DOM construction from HTML tokens."""
+#: Deepest tree level that takes child elements.  An element opened while
+#: the open-element stack is deeper is appended to the open element at
+#: this depth, not the innermost one, and still pushed, so end tags and
+#: implied closers match as usual; text stays in the innermost element.
+#: Blink's HTML tree builder flattens past its maximum depth the same way.
+#: The deepest recursive walk downstream, layout's ``_walk_element`` ->
+#: ``_walk_table_row`` -> ``_walk_children``, takes at most 3 frames per
+#: level, so 256 levels stay under Python's default recursion limit of
+#: 1000 with room left for the callers.
+MAX_TREE_DEPTH = 256
+
+
+class TreeBuilder(HTMLParser):
+    """DOM construction driven straight from the ``HTMLParser`` callbacks."""
 
     def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
         self.root = Element("html")
         self.doctype = ""
+        self._body: Optional[Element] = None
         self._stack: List[Element] = [self.root]
-        self._saw_body = False
 
     # -- stack helpers ------------------------------------------------------
-    @property
-    def current(self) -> Element:
-        return self._stack[-1]
-
-    def _open(self, element: Element) -> None:
-        self.current.append(element)
-        self._stack.append(element)
-
-    def _close_innermost(self) -> None:
-        if len(self._stack) > 1:
-            self._stack.pop()
-
     def _apply_implied_closers(self, tag: str) -> None:
         closers = IMPLIED_CLOSERS.get(tag)
         if not closers:
             return
-        while len(self._stack) > 1:
-            innermost = self.current.tag
+        stack = self._stack
+        while len(stack) > 1:
+            innermost = stack[-1].tag
             if innermost in closers:
-                self._close_innermost()
+                stack.pop()
                 continue
             if innermost in _SCOPE_BARRIERS:
                 break
@@ -118,100 +123,107 @@ class TreeBuilder:
             # — never look past a barrier, or an inner table's <tr> would
             # close the outer table's open <td>.
             closable_in_scope = False
-            for element in reversed(self._stack[:-1]):
+            for index in range(len(stack) - 2, -1, -1):
+                element = stack[index]
                 if element.tag in closers:
                     closable_in_scope = True
                     break
                 if element.tag in _SCOPE_BARRIERS:
                     break
             if closable_in_scope:
-                self._close_innermost()
+                stack.pop()
             else:
                 break
 
-    # -- token handling --------------------------------------------------------
-    def start_tag(self, token: StartTag) -> None:
-        tag = token.name
+    def _ensure_body_for_content(self, tag: str) -> None:
+        """Route visible content under <body> even if <body> was omitted."""
+        if tag in _HEAD_CONTENT or len(self._stack) > 1:
+            return
+        if self._body is None:
+            self._body = Element("body")
+            self.root.append(self._body)
+        self._stack.append(self._body)
+
+    # -- HTMLParser callbacks ---------------------------------------------
+    def handle_starttag(
+        self, tag: str, attrs: List[Tuple[str, Optional[str]]]
+    ) -> None:
+        self._start(tag, attrs, False)
+
+    def handle_startendtag(
+        self, tag: str, attrs: List[Tuple[str, Optional[str]]]
+    ) -> None:
+        self._start(tag, attrs, True)
+
+    def _start(
+        self, tag: str, attrs: List[Tuple[str, Optional[str]]], self_closing: bool
+    ) -> None:
+        values = [(name, "" if value is None else value) for name, value in attrs]
         if tag == "html":
             # Merge attributes into the synthesised root.
-            for key, value in token.attrs:
+            for key, value in values:
                 self.root.attrs.setdefault(key, value)
             return
         if tag == "body":
-            body = self.root.find("body")
-            if body is None:
-                body = Element("body", dict(token.attrs))
-                self.root.append(body)
+            if self._body is None:
+                self._body = Element("body", dict(values))
+                self.root.append(self._body)
             else:
-                for key, value in token.attrs:
-                    body.attrs.setdefault(key, value)
-            # Reset stack to the body.
-            self._stack = [self.root, body]
-            self._saw_body = True
+                for key, value in values:
+                    self._body.attrs.setdefault(key, value)
+            self._stack = [self.root, self._body]
             return
 
         self._apply_implied_closers(tag)
-        element = Element(tag, dict(token.attrs))
-        if tag in VOID_ELEMENTS or token.self_closing:
-            self._ensure_body_for_content(tag)
-            self.current.append(element)
-        else:
-            self._ensure_body_for_content(tag)
-            self._open(element)
+        self._ensure_body_for_content(tag)
+        element = Element(tag, dict(values))
+        stack = self._stack
+        stack[min(len(stack) - 1, MAX_TREE_DEPTH)].append(element)
+        if not (self_closing or tag in VOID_ELEMENTS):
+            stack.append(element)
 
-    def _ensure_body_for_content(self, tag: str) -> None:
-        """Route visible content under <body> even if <body> was omitted."""
-        if tag in {"head", "title", "meta", "link", "base", "script", "style"}:
-            return
-        if self.current is self.root:
-            body = self.root.find("body")
-            if body is None:
-                body = Element("body")
-                self.root.append(body)
-            self._stack.append(body)
-
-    def end_tag(self, token: EndTag) -> None:
-        tag = token.name
+    def handle_endtag(self, tag: str) -> None:
         if tag in VOID_ELEMENTS:
             return
-        if tag in {"html", "body"}:
-            body = self.root.find("body")
-            self._stack = [self.root] + ([body] if body is not None and tag == "html" else [])
-            if tag == "body" and body is not None:
-                self._stack = [self.root, body]
+        if tag in ("html", "body"):
+            self._stack = [self.root] if self._body is None else [self.root, self._body]
             return
         # Find the nearest matching open element; an end tag never crosses
         # a <table> boundary (so a stray </tr> inside a nested table cannot
         # pop out to the outer table's row).
-        for depth in range(len(self._stack) - 1, 0, -1):
-            current_tag = self._stack[depth].tag
+        stack = self._stack
+        for depth in range(len(stack) - 1, 0, -1):
+            current_tag = stack[depth].tag
             if current_tag == tag:
-                del self._stack[depth:]
+                del stack[depth:]
                 return
             if current_tag == "table" and tag != "table":
                 return
         # No matching open element: ignore the stray end tag.
 
-    def text(self, token: TextToken) -> None:
-        if not token.data.strip():
+    def handle_data(self, data: str) -> None:
+        if not data:
+            return
+        if not data.strip():
             # Keep a single space between inline runs; drop pure formatting
             # whitespace at the top of the stack.
-            if self.current.children and isinstance(self.current.children[-1], Text):
+            parent = self._stack[-1]
+            if parent is self.root:
                 return
-            if self.current is self.root:
+            if parent.children and isinstance(parent.children[-1], Text):
                 return
-            self.current.append(Text(" "))
+            parent.append(Text(" "))
             return
         self._ensure_body_for_content("#text")
-        self.current.append(Text(token.data))
+        self._stack[-1].append(Text(data))
 
-    def comment(self, token: CommentToken) -> None:
-        if self.current is self.root:
-            return
-        self.current.append(Comment(token.data))
+    def handle_comment(self, data: str) -> None:
+        parent = self._stack[-1]
+        if parent is not self.root:
+            parent.append(Comment(data))
 
-    def finish(self) -> Document:
-        return Document(self.root, self.doctype)
+    def handle_decl(self, decl: str) -> None:
+        self.doctype = decl
 
 
 def parse_html(markup: str) -> Document:
@@ -221,15 +233,6 @@ def parse_html(markup: str) -> Document:
     in the module docstring.
     """
     builder = TreeBuilder()
-    for token in tokenize(markup):
-        if isinstance(token, StartTag):
-            builder.start_tag(token)
-        elif isinstance(token, EndTag):
-            builder.end_tag(token)
-        elif isinstance(token, TextToken):
-            builder.text(token)
-        elif isinstance(token, CommentToken):
-            builder.comment(token)
-        elif isinstance(token, DoctypeToken):
-            builder.doctype = token.data
-    return builder.finish()
+    builder.feed(markup)
+    builder.close()
+    return Document(builder.root, builder.doctype)

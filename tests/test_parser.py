@@ -1,6 +1,6 @@
-"""HTML tree construction tests, including the recovery rules."""
+"""HTML tree construction tests, including lexing and the recovery rules."""
 
-from repro.htmlmod.dom import Element, Text
+from repro.htmlmod.dom import Comment, Element, Text
 from repro.htmlmod.parser import parse_html
 
 
@@ -38,11 +38,70 @@ class TestBasicStructure:
         assert doc.body.find("title") is None
 
     def test_comment_preserved(self):
-        doc = parse_html("<body><div><!--note--></div></body>")
-        from repro.htmlmod.dom import Comment
-
+        doc = parse_html("<body><div><!-- note --></div></body>")
         div = doc.body.find("div")
-        assert any(isinstance(c, Comment) for c in div.children)
+        comments = [c for c in div.children if isinstance(c, Comment)]
+        assert [c.data for c in comments] == [" note "]
+
+
+class TestLexing:
+    """What the standard-library lexer hands the tree builder."""
+
+    def test_start_and_end_tags(self):
+        p = parse_html("<p>x</p><p>y</p>").body.child_elements()
+        assert [e.tag for e in p] == ["p", "p"]
+        assert [e.text_content() for e in p] == ["x", "y"]
+
+    def test_tag_names_lowercased(self):
+        div = parse_html("<DIV><A HREF='x'>t</A></DIV>").body.find("div")
+        assert div is not None
+        (link,) = div.child_elements()
+        assert link.tag == "a"
+        assert link.attrs == {"href": "x"}
+
+    def test_mixed_case_attributes_lowercased(self):
+        td = parse_html('<table><tr><td WIDTH="5" Align="left">').body.find("td")
+        assert td.attrs == {"width": "5", "align": "left"}
+
+    def test_attribute_without_value_becomes_empty_string(self):
+        field = parse_html("<input disabled>").body.find("input")
+        assert field.attrs == {"disabled": ""}
+
+    def test_attribute_quoting_styles(self):
+        for markup in ('<a href="x">', "<a href='x'>", "<a href=x>"):
+            assert parse_html(markup).body.find("a").get("href") == "x"
+
+    def test_self_closing_tag_takes_no_children(self):
+        sig = parse_html("<div/><p>x</p>").body.tag_signature()
+        assert sig == ("body", ("div",), ("p",))
+
+    def test_entities_decoded(self):
+        p = parse_html("<p>a &amp; b &lt;c&gt;</p>").body.find("p")
+        assert [c.data for c in p.children] == ["a & b <c>"]
+
+    def test_numeric_entities_decoded(self):
+        p = parse_html("<p>&#65;&#x42;</p>").body.find("p")
+        assert [c.data for c in p.children] == ["AB"]
+
+    def test_empty_input(self):
+        doc = parse_html("")
+        assert doc.doctype == ""
+        assert doc.root.children == []
+
+    def test_plain_text_only(self):
+        body = parse_html("just text").body
+        assert [c.data for c in body.children] == ["just text"]
+
+    def test_stray_angle_bracket_degrades_to_text(self):
+        p = parse_html("<p>1 < 2</p>").body.find("p")
+        assert p.child_elements() == []
+        assert p.text_content() == "1 < 2"
+
+    def test_script_content_not_parsed_as_tags(self):
+        doc = parse_html("<script>if (a<b) { x('<p>'); }</script>")
+        assert doc.root.find("p") is None
+        script = doc.root.find("script")
+        assert [c.data for c in script.children] == ["if (a<b) { x('<p>'); }"]
 
 
 class TestVoidElements:
@@ -156,8 +215,9 @@ class TestMalformedRecovery:
         assert sig == ("body", ("div", ("b", ("i",))), ("p",))
 
     def test_unclosed_elements_at_eof(self):
-        sig = signature("<body><div><ul><li>a")
-        assert sig == ("body", ("div", ("ul", ("li",))))
+        doc = parse_html("<body><div><ul><li>a")
+        assert doc.body.tag_signature() == ("body", ("div", ("ul", ("li",))))
+        assert doc.body.find("li").text_content() == "a"
 
     def test_duplicate_body_merges(self):
         doc = parse_html("<body class='a'><p>x</p><body id='b'><p>y</p>")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.mse import build_wrapper
 from repro.core.mse_config import MSEConfig
@@ -44,7 +44,6 @@ from repro.core.verify import WrapperHealth
 from repro.core.wrapper import EngineWrapper
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.perf.serve import CompiledWrapper, ServedPage, compile_wrapper
-from repro.perf.server import Server
 from repro.obs.health import (
     DEFAULT_STREAMS,
     DriftAlarm,
@@ -88,11 +87,6 @@ class MonitorConfig:
     retry_every: int = 4
     #: checkpoint directory for resumable re-induction (None = in-memory)
     checkpoint_dir: Optional[str] = None
-    #: worker processes for batch serving (:meth:`WrapperMonitor
-    #: .serve_many`); 1 = in-process serial loop
-    serve_jobs: int = 1
-    #: pages per IPC chunk for batch serving (None = auto heuristic)
-    serve_chunksize: Optional[int] = None
 
 
 @dataclass
@@ -227,52 +221,6 @@ class WrapperMonitor:
             served = self.compiled.serve(markup, query, obs=obs)
             self._record_served(markup, query, served)
         return served
-
-    def serve_many(
-        self,
-        pages: Sequence[Tuple[str, str]],
-        server: Optional[Server] = None,
-    ) -> List[ServedPage]:
-        """Monitor a batch of pages, fanning serving across a warm pool.
-
-        With healing disabled the render+apply work runs on a
-        :class:`repro.perf.server.Server` (the caller may hand in a
-        started pool serving this monitor's wrapper at index 0;
-        otherwise a temporary one is built from ``config.serve_jobs`` /
-        ``config.serve_chunksize``) and the resulting health stream
-        replays through the drift state machine in page order — the
-        monitor ends in exactly the state the serial loop reaches,
-        served results included (asserted bit-identical in the tests).
-
-        A *healing* monitor may hot-swap its wrapper mid-stream, which a
-        precomputed batch cannot express, so ``config.heal`` (or
-        ``serve_jobs <= 1`` with no pool handed in) falls back to the
-        serial :meth:`serve_page` loop.
-        """
-        cfg = self.config
-        pooled = not cfg.heal and (server is not None or cfg.serve_jobs > 1)
-        if not pooled or len(pages) <= 1:
-            return [self.serve_page(markup, query) for markup, query in pages]
-        owners = [0] * len(pages)
-        if server is not None:
-            rows = server.serve(pages, wrapper_of=owners)
-        else:
-            with Server(
-                [self.compiled],
-                jobs=min(cfg.serve_jobs, len(pages)),
-                chunksize=cfg.serve_chunksize,
-                obs=self.obs,
-            ) as pool:
-                rows = pool.serve(pages, wrapper_of=owners)
-        obs = self.obs
-        served_pages: List[ServedPage] = []
-        for (markup, query), row in zip(pages, rows):
-            served = row[0]
-            with obs.span("monitor"):
-                self._buffer.append((markup, query))
-                self._record_served(markup, query, served)
-            served_pages.append(served)
-        return served_pages
 
     def _record_served(self, markup: str, query: str, served: ServedPage) -> None:
         """Feed one served page through the drift state machine."""

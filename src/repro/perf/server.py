@@ -23,17 +23,19 @@ round-trip.  ``BENCH_serve.json`` recorded the result — a 4-worker pool
   per-message cost spreads over many pages while the tail stays
   balanced.
 - **Degrade, don't lose.**  The parent polls worker liveness while it
-  collects results; a worker that dies mid-chunk is respawned (with a
-  fresh task queue, so a stale chunk can never replay) and its chunk is
-  retried.  Chunk completion is idempotent, batch-epoch-fenced and
-  written into position-indexed slots, so a crash costs throughput —
-  never a page, never a duplicate, never the ordering.  If the pool
-  goes *silent* for a whole stall window (a stopped worker, or a result
-  queue poisoned by a worker killed mid-write), the parent rebuilds it
-  wholesale — every worker killed, fresh queues, in-flight chunks
-  requeued — so no single wedged channel can deadlock a batch; crashes
-  and rebuilds draw from the same ``max_restarts`` budget and raise
-  once it is exhausted.
+  collects results.  One recovery path covers every fault: when a
+  worker is found dead, or the pool stays silent for a whole stall
+  window (a stopped worker, or a result queue poisoned by a worker
+  killed mid-write), the parent SIGKILLs every worker, requeues the
+  in-flight chunks and respawns the pool on fresh result and task
+  queues.  A fresh queue means no message from before the rebuild can
+  ever be read, so a retried chunk lands exactly once in its
+  chunk-indexed slot: a crash costs throughput, never a page, never a
+  duplicate, never the ordering.  Each rebuild spends one unit of a
+  fixed restart budget; once it is spent the server closes and raises.
+  A chunk that *raises* is not a fault of the pool: the batch stops
+  dispatching, drains the chunks still in flight and then raises, so
+  nothing of a failed batch can reach the next one.
 
 Results are bit-identical to the serial serving path (and therefore to
 the interpreted :meth:`~repro.core.wrapper.EngineWrapper.extract` /
@@ -63,6 +65,7 @@ from collections import deque
 from queue import Empty
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -99,9 +102,11 @@ _POLL_SECONDS = 0.05
 
 #: consecutive empty polls (~60 s at _POLL_SECONDS) before the parent
 #: assumes the worker IPC is wedged — fork can copy a queue mid-write
-#: on a loaded box — and terminates the silent workers so the normal
-#: respawn-and-requeue path recovers instead of polling forever
+#: on a loaded box — and rebuilds the pool instead of polling forever
 _STALL_POLLS = 1200
+
+#: pool rebuilds a Server may spend before it closes and raises
+_MAX_RESTARTS = 8
 
 #: auto_chunksize targets this many chunks per worker (the stdlib
 #: Pool heuristic): enough slack for work stealing without paying
@@ -190,11 +195,9 @@ def _worker_main(
 
     - ``("primed", worker_id, prime_pages, kernel_stats)`` once the
       wrappers are compiled and the priming pass has run;
-    - ``("done", worker_id, epoch, chunk_id, payload)`` per completed
-      chunk — ``epoch`` echoes the batch that dispatched it, so the
-      parent can discard chunks from a batch aborted by an error;
-    - ``("error", worker_id, epoch, chunk_id, formatted_traceback)``
-      when a chunk raises — the worker stays alive for the next chunk;
+    - ``("done", worker_id, chunk_id, payload)`` per completed chunk;
+    - ``("error", worker_id, chunk_id, formatted_traceback)`` when a
+      chunk raises — the worker stays alive for the next chunk;
     - ``("stats", worker_id, stats_doc, kernel_stats)`` in response to
       the ``None`` shutdown sentinel, after which the worker exits.
     """
@@ -213,15 +216,13 @@ def _worker_main(
             stats_doc = obs.stats() if isinstance(obs, Observer) else None
             results.put(("stats", worker_id, stats_doc, kernel_cache_stats()))
             return
-        epoch, chunk_id, mode, chunk = message
+        chunk_id, mode, chunk = message
         try:
             payload = _run_chunk(compiled, mode, chunk, obs)
         except Exception:
-            results.put(
-                ("error", worker_id, epoch, chunk_id, traceback.format_exc())
-            )
+            results.put(("error", worker_id, chunk_id, traceback.format_exc()))
             continue
-        results.put(("done", worker_id, epoch, chunk_id, payload))
+        results.put(("done", worker_id, chunk_id, payload))
 
 
 class Server:
@@ -234,7 +235,7 @@ class Server:
     memos; ``prime_of`` restricts each priming page to one wrapper, the
     same shape as ``wrapper_of``.
 
-    Use as a context manager, or call :meth:`close` / :meth:`join`::
+    Use as a context manager, or call :meth:`close`::
 
         with Server(wrappers, jobs=4, prime_pages=samples) as server:
             extractions = server.extract(pages, wrapper_of=owners)
@@ -243,8 +244,8 @@ class Server:
     Batches may be submitted repeatedly; workers stay resident (that is
     the point).  Results are deterministic and bit-identical to the
     serial serving path regardless of ``jobs``/``chunksize``; a worker
-    crash is detected, the worker respawned and its chunk retried, so
-    pages are never lost or duplicated.
+    crash is detected, the pool rebuilt and the in-flight chunks
+    retried, so pages are never lost or duplicated.
     """
 
     def __init__(
@@ -255,7 +256,6 @@ class Server:
         prime_pages: Sequence[Tuple[str, str]] = (),
         prime_of: Optional[Sequence[int]] = None,
         obs: ObserverLike = NULL_OBSERVER,
-        max_restarts: int = 8,
     ) -> None:
         if not wrappers:
             raise ValueError("Server needs at least one wrapper")
@@ -264,7 +264,6 @@ class Server:
         self.jobs = max(1, jobs)
         self.chunksize = chunksize
         self.obs = obs
-        self.max_restarts = max_restarts
         self.restarts = 0
         #: per-worker telemetry: {"prime_pages", "primed", "final", ...}
         self.worker_stats: Dict[int, Dict[str, Any]] = {}
@@ -281,22 +280,22 @@ class Server:
         )
         self._observed = bool(getattr(obs, "enabled", False))
         self._ctx = multiprocessing.get_context()
-        self._result_queue: Any = self._ctx.Queue()
+        self._result_queue: Any = None
         self._workers: Dict[int, Any] = {}
         self._task_queues: Dict[int, Any] = {}
         self._primed: Set[int] = set()
-        #: worker id -> (batch epoch, chunk id) of its in-flight chunk
-        self._busy: Dict[int, Tuple[int, int]] = {}
+        #: worker id -> chunk id of its in-flight chunk
+        self._busy: Dict[int, int] = {}
         self._next_worker_id = 0
-        self._epoch = 0
         self._started = False
         self._closed = False
         # per-batch state (reset by _run_batch)
         self._chunks: List[_Chunk] = []
-        self._chunk_starts: List[int] = []
         self._pending: Deque[int] = deque()
-        self._completed: Set[int] = set()
-        self._slots: List[Optional[List[Any]]] = []
+        #: chunk id -> its per-page results, once done
+        self._slots: List[Optional[List[List[Any]]]] = []
+        #: first chunk error of the batch; stops dispatch until drained
+        self._failure: Optional[str] = None
         self._mode: str = _MODE_EXTRACT
 
     # -- lifecycle ------------------------------------------------------
@@ -320,24 +319,8 @@ class Server:
             return self
         self._started = True
         with self.obs.span("server.start"):
-            for _ in range(self.jobs):
-                self._spawn()
-            stalled = 0
-            while any(
-                worker_id not in self._primed for worker_id in self._workers
-            ):
-                message = self._poll()
-                if message is None:
-                    stalled += 1
-                    if stalled >= _STALL_POLLS:
-                        stalled = 0
-                        self._rebuild_pool()
-                        continue
-                    self._reap()
-                    continue
-                stalled = 0
-                if message[0] == "primed":
-                    self._on_primed(message[1], message[2], message[3])
+            self._spawn()
+            self._pump(lambda: len(self._primed) == len(self._workers))
             self.obs.gauge("server.workers", float(len(self._workers)))
         return self
 
@@ -355,13 +338,13 @@ class Server:
             for worker_id, proc in self._workers.items()
             if proc.is_alive()
         }
-        stalled = 0
+        silent = 0
         while waiting:
             message = self._poll()
             if message is None:
-                stalled += 1
-                if stalled >= _STALL_POLLS:
-                    break  # wedged workers: the join/terminate below cleans up
+                silent += 1
+                if silent >= _STALL_POLLS:
+                    break  # wedged workers: the join/kill below cleans up
                 dead = {
                     worker_id
                     for worker_id in waiting
@@ -375,27 +358,15 @@ class Server:
                 messages = self._drain()
                 waiting -= dead
             else:
-                stalled = 0
+                silent = 0
                 messages = [message]
             for message in messages:
                 if message[0] == "stats":
                     self._on_final_stats(message[1], message[2], message[3])
                     waiting.discard(message[1])
                 # late "done"/"error"/"primed" messages are harmless here
-        for proc in self._workers.values():
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        self._workers.clear()
-        self._task_queues.clear()
-        self._primed.clear()
-        self._busy.clear()
+        self._stop_workers(grace=5)
         self.obs.gauge("server.restarts", float(self.restarts))
-
-    def join(self) -> None:
-        """Alias for :meth:`close` (submit/collect API symmetry)."""
-        self.close()
 
     # -- the public batch API -------------------------------------------
     def extract(
@@ -415,27 +386,42 @@ class Server:
         return self._run_batch(pages, wrapper_of, _MODE_SERVE)
 
     # -- internals ------------------------------------------------------
-    def _spawn(self) -> int:
-        """Start one worker with a fresh task queue; returns its id."""
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        task_queue = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                self._engines,
-                self._prime,
-                self._observed,
-                task_queue,
-                self._result_queue,
-            ),
-        )
-        proc.daemon = True
-        proc.start()
-        self._task_queues[worker_id] = task_queue
-        self._workers[worker_id] = proc
-        return worker_id
+    def _spawn(self) -> None:
+        """Start ``jobs`` workers on a fresh result queue and task queues."""
+        self._result_queue = self._ctx.Queue()
+        for _ in range(self.jobs):
+            worker_id = self._next_worker_id
+            self._next_worker_id += 1
+            task_queue = self._ctx.Queue()
+            proc = self._ctx.Process(
+                target=_worker_main,
+                args=(
+                    worker_id,
+                    self._engines,
+                    self._prime,
+                    self._observed,
+                    task_queue,
+                    self._result_queue,
+                ),
+            )
+            proc.daemon = True
+            proc.start()
+            self._task_queues[worker_id] = task_queue
+            self._workers[worker_id] = proc
+
+    def _stop_workers(self, grace: float) -> None:
+        """Join every worker, SIGKILLing any still alive after ``grace`` s."""
+        for proc in self._workers.values():
+            proc.join(timeout=grace)
+            if proc.is_alive():
+                # SIGKILL, not SIGTERM: a wedged (or stopped) worker may
+                # never get to deliver a catchable signal.
+                proc.kill()
+                proc.join()
+        self._workers.clear()
+        self._task_queues.clear()
+        self._primed.clear()
+        self._busy.clear()
 
     def _poll(self) -> Optional[Tuple[Any, ...]]:
         """One result-queue read; ``None`` means check liveness."""
@@ -456,89 +442,36 @@ class Server:
             except Empty:
                 return messages
 
-    def _reap(self) -> None:
-        """Respawn dead workers; requeue whatever they were chewing on.
+    def _recover(self) -> None:
+        """Rebuild the whole pool on fresh queues; retry in-flight chunks.
 
-        A dead worker's in-flight chunk goes back to the *front* of the
-        pending deque (retry first), and its replacement gets a fresh
-        task queue — a chunk sitting in the dead worker's queue can
-        therefore never be delivered twice.  A chunk from an aborted
-        earlier batch (stale epoch) is simply dropped.
+        The one recovery path, for a dead worker and for a silent pool
+        alike.  Per-worker respawn cannot fix a *poisoned result queue*
+        — a worker killed between writing its message bytes and
+        releasing the queue's shared write lock leaves that semaphore
+        held forever, wedging every other worker — so: SIGKILL every
+        worker, put the in-flight chunks back at the front of the
+        pending deque, and respawn the pool on fresh queues.  No message
+        from before the rebuild can be read afterwards, so a retried
+        chunk can never land twice.  Costs one re-prime and one unit of
+        the restart budget; a fault that persists across
+        ``_MAX_RESTARTS`` rebuilds closes the server and raises rather
+        than looping.
         """
-        for worker_id in sorted(self._workers):
-            proc = self._workers[worker_id]
-            if proc.is_alive():
-                continue
-            del self._workers[worker_id]
-            del self._task_queues[worker_id]
-            self._primed.discard(worker_id)
-            in_flight = self._busy.pop(worker_id, None)
-            if in_flight is not None:
-                epoch, chunk_id = in_flight
-                if epoch == self._epoch and chunk_id not in self._completed:
-                    self._pending.appendleft(chunk_id)
-            self.restarts += 1
-            self.obs.count("server.worker_restarts")
-            if self.restarts > self.max_restarts:
-                self._abort()
-                raise RuntimeError(
-                    f"Server exceeded {self.max_restarts} worker restarts"
-                )
-            replacement = self._spawn()
-            self.worker_stats.setdefault(replacement, {})["respawned_for"] = (
-                worker_id
-            )
-
-    def _rebuild_pool(self) -> None:
-        """Tear the whole pool down and bring it back on fresh queues.
-
-        The stall recovery: when every channel goes silent for a whole
-        window, the likeliest causes are a lost task message or a
-        *poisoned result queue* — a worker killed between writing its
-        message bytes and releasing the queue's shared write lock
-        leaves that semaphore held forever, wedging every other worker.
-        Per-worker respawn cannot fix either (the replacement inherits
-        the same result queue), so: SIGKILL every worker, swap in a
-        fresh result queue, respawn the pool, and requeue whatever was
-        in flight.  Costs one re-prime and one unit of the restart
-        budget — a wedge that persists across ``max_restarts`` rebuilds
-        raises rather than looping.
-        """
-        self.obs.count("server.pool_rebuilds")
-        for worker_id in list(self._workers):
-            proc = self._workers.pop(worker_id)
-            if proc.is_alive():
-                # SIGKILL, not SIGTERM: a wedged (or stopped) worker may
-                # never get to deliver a catchable signal.
-                proc.kill()
-            proc.join()
-            self._task_queues.pop(worker_id, None)
-            self._primed.discard(worker_id)
-            in_flight = self._busy.pop(worker_id, None)
-            if in_flight is not None:
-                epoch, chunk_id = in_flight
-                if epoch == self._epoch and chunk_id not in self._completed:
-                    self._pending.appendleft(chunk_id)
+        for task_queue in self._task_queues.values():
+            # a chunk still buffered for a dead reader must not block
+            # interpreter exit on the queue's feeder thread
+            task_queue.cancel_join_thread()
+        in_flight = sorted(self._busy.values(), reverse=True)
+        self._stop_workers(grace=0)
+        self._pending.extendleft(in_flight)
         self.restarts += 1
-        if self.restarts > self.max_restarts:
-            self._abort()
+        if self.restarts > _MAX_RESTARTS:
+            self._closed = True
             raise RuntimeError(
-                f"Server exceeded {self.max_restarts} worker restarts"
+                f"Server exceeded {_MAX_RESTARTS} worker restarts"
             )
-        self._result_queue = self._ctx.Queue()
-        for _ in range(self.jobs):
-            self._spawn()
-
-    def _abort(self) -> None:
-        """Hard-stop every worker (restart-budget exhausted)."""
-        self._closed = True
-        for proc in self._workers.values():
-            if proc.is_alive():
-                proc.kill()
-            proc.join()
-        self._workers.clear()
-        self._task_queues.clear()
-        self._busy.clear()
+        self._spawn()
 
     def _on_primed(
         self, worker_id: int, prime_pages: int, kernel_stats: Dict[str, Any]
@@ -546,19 +479,11 @@ class Server:
         self._primed.add(worker_id)
         stats = self.worker_stats.setdefault(worker_id, {})
         stats["prime_pages"] = prime_pages
-        stats["primed"] = kernel_stats
-        obs = self.obs
-        if obs.enabled:
-            obs.gauge(
+        if self.obs.enabled:
+            self.obs.gauge(
                 f"server.worker.{worker_id}.prime_pages", float(prime_pages)
             )
-            for cache, cache_stats in kernel_stats.items():
-                rate = cache_stats.get("hit_rate")
-                if rate is not None:
-                    obs.gauge(
-                        f"server.worker.{worker_id}.primed.{cache}.hit_rate",
-                        float(rate),
-                    )
+        self._record_warmth(worker_id, "primed", kernel_stats)
 
     def _on_final_stats(
         self,
@@ -566,57 +491,75 @@ class Server:
         stats_doc: Optional[Dict[str, Any]],
         kernel_stats: Dict[str, Any],
     ) -> None:
-        stats = self.worker_stats.setdefault(worker_id, {})
-        stats["final"] = kernel_stats
-        obs = self.obs
         if stats_doc is not None:
-            merge = getattr(obs, "merge_stats", None)
+            merge = getattr(self.obs, "merge_stats", None)
             if merge is not None:
                 merge(stats_doc)
-        if obs.enabled:
-            for cache, cache_stats in kernel_stats.items():
-                rate = cache_stats.get("hit_rate")
-                if rate is not None:
-                    obs.gauge(
-                        f"server.worker.{worker_id}.final.{cache}.hit_rate",
-                        float(rate),
-                    )
+        self._record_warmth(worker_id, "final", kernel_stats)
+
+    def _record_warmth(
+        self, worker_id: int, phase: str, kernel_stats: Dict[str, Any]
+    ) -> None:
+        """Store one worker's kernel-cache stats; gauge each hit rate."""
+        self.worker_stats.setdefault(worker_id, {})[phase] = kernel_stats
+        if not self.obs.enabled:
+            return
+        for cache, cache_stats in kernel_stats.items():
+            rate = cache_stats.get("hit_rate")
+            if rate is not None:
+                self.obs.gauge(
+                    f"server.worker.{worker_id}.{phase}.{cache}.hit_rate",
+                    float(rate),
+                )
 
     def _dispatch(self) -> None:
-        """Hand one pending chunk to every idle worker."""
-        for worker_id in sorted(self._workers):
+        """Hand one pending chunk to every idle worker, unless one failed."""
+        if self._failure is not None:
+            return
+        for worker_id, task_queue in sorted(self._task_queues.items()):
+            if not self._pending:
+                return
             if worker_id in self._busy:
                 continue
-            chunk_id: Optional[int] = None
-            while self._pending:
-                candidate = self._pending.popleft()
-                if candidate not in self._completed:
-                    chunk_id = candidate
-                    break
-            if chunk_id is None:
-                return
-            self._task_queues[worker_id].put(
-                (self._epoch, chunk_id, self._mode, self._chunks[chunk_id])
-            )
-            self._busy[worker_id] = (self._epoch, chunk_id)
+            chunk_id = self._pending.popleft()
+            task_queue.put((chunk_id, self._mode, self._chunks[chunk_id]))
+            self._busy[worker_id] = chunk_id
 
-    def _on_done(
-        self,
-        worker_id: int,
-        epoch: int,
-        chunk_id: int,
-        payload: List[List[Any]],
-    ) -> None:
-        if self._busy.get(worker_id) == (epoch, chunk_id):
-            del self._busy[worker_id]
-        if epoch != self._epoch:
-            return  # chunk from a batch aborted by an error: drop it
-        if chunk_id in self._completed:
-            return  # a retried chunk finished twice: identical, drop it
-        self._completed.add(chunk_id)
-        start = self._chunk_starts[chunk_id]
-        for offset, page_results in enumerate(payload):
-            self._slots[start + offset] = page_results
+    def _pump(self, finished: Callable[[], bool]) -> None:
+        """Dispatch, collect and recover until ``finished()`` holds.
+
+        The pool's one event loop: :meth:`start` runs it until every
+        worker is primed, a batch until every chunk is done (or, after
+        an error, until no chunk is in flight).  An empty poll that
+        finds a dead worker, or ``_STALL_POLLS`` empty polls in a row,
+        rebuilds the pool through :meth:`_recover`.
+        """
+        silent = 0
+        while not finished():
+            self._dispatch()
+            message = self._poll()
+            if message is None:
+                silent += 1
+                if silent >= _STALL_POLLS or not all(
+                    proc.is_alive() for proc in self._workers.values()
+                ):
+                    silent = 0
+                    self._recover()
+                continue
+            silent = 0
+            kind, worker_id = message[0], message[1]
+            if kind == "primed":
+                self._on_primed(worker_id, message[2], message[3])
+            elif kind == "done":
+                del self._busy[worker_id]
+                self._slots[message[2]] = message[3]
+            elif kind == "error":
+                del self._busy[worker_id]
+                if self._failure is None:
+                    self._failure = (
+                        f"server worker {worker_id} failed on chunk "
+                        f"{message[2]}:\n{message[3]}"
+                    )
 
     def _run_batch(
         self,
@@ -634,9 +577,10 @@ class Server:
         self.start()
         obs = self.obs
         with obs.span("server.batch"):
-            # New epoch: anything still in flight from an aborted batch
-            # will be recognized as stale and discarded on arrival.
-            self._epoch += 1
+            if self._busy:
+                # An interrupted batch left chunks in flight: rebuild so
+                # none of their results can land in this batch's slots.
+                self._recover()
             size = self.chunksize or auto_chunksize(len(pages), self.jobs)
             tasks: List[_PageTask] = [
                 (markup, query, wrapper_ids)
@@ -647,44 +591,20 @@ class Server:
                 tuple(tasks[start : start + size])
                 for start in range(0, len(tasks), size)
             ]
-            self._chunk_starts = list(range(0, len(tasks), size))
             self._pending = deque(range(len(self._chunks)))
-            self._completed = set()
-            self._slots = [None] * len(pages)
+            self._slots = [None] * len(self._chunks)
+            self._failure = None
             obs.gauge("server.chunksize", float(size))
-            stalled = 0
-            while len(self._completed) < len(self._chunks):
-                self._dispatch()
-                message = self._poll()
-                if message is None:
-                    stalled += 1
-                    if stalled >= _STALL_POLLS:
-                        stalled = 0
-                        self._rebuild_pool()
-                        continue
-                    self._reap()
-                    continue
-                stalled = 0
-                kind = message[0]
-                if kind == "done":
-                    self._on_done(
-                        message[1], message[2], message[3], message[4]
-                    )
-                elif kind == "error":
-                    self._busy.pop(message[1], None)
-                    if message[2] != self._epoch:
-                        continue  # failure of an already-aborted batch
-                    raise RuntimeError(
-                        f"server worker {message[1]} failed on chunk "
-                        f"{message[3]}:\n{message[4]}"
-                    )
-                elif kind == "primed":
-                    self._on_primed(message[1], message[2], message[3])
-            obs.count("serve.pages", len(self._slots))
+            self._pump(
+                lambda: not self._busy
+                and (self._failure is not None or not self._pending)
+            )
+            slots, self._chunks, self._slots = self._slots, [], []
+            if self._failure is not None:
+                raise RuntimeError(self._failure)
+            obs.count("serve.pages", len(pages))
             results: List[List[Any]] = []
-            for slot in self._slots:
-                assert slot is not None  # every chunk completed exactly once
-                results.append(slot)
-            self._slots = []
-            self._chunks = []
+            for chunk_results in slots:
+                assert chunk_results is not None  # every chunk completed
+                results.extend(chunk_results)
             return results

@@ -21,10 +21,7 @@ from repro.algorithms.string_edit import edit_distance, edit_distance_reference
 from repro.algorithms.tree_edit import forest_distance
 from repro.algorithms.string_edit import normalized_edit_distance
 from repro.features.blocks import Block
-from repro.features.config import DEFAULT_CONFIG
 from repro.features.line_distance import text_attr_distance
-from repro.features.record_distance import RecordDistanceCache
-from repro.features.cohesion import record_diversity
 from repro.htmlmod.parser import parse_html
 from repro.perf import (
     block_fingerprint,
@@ -45,8 +42,6 @@ PAGES_PER_ENGINE = 2
 BLOCK_SPAN = 3
 #: pairwise workload size (blocks -> blocks*(blocks-1)/2 pairs)
 MAX_BLOCKS = 36
-#: repetitions of the diversity workload (models best_partition re-asking)
-DIVERSITY_ROUNDS = 8
 
 
 def _corpus_blocks():
@@ -112,19 +107,6 @@ def _bench_attr_masks(pairs):
     return ref_seconds, fast_seconds
 
 
-def _bench_diversity(blocks):
-    workload = [b for b in blocks for _ in range(DIVERSITY_ROUNDS)]
-    start = time.perf_counter()
-    ref = [record_diversity(b, DEFAULT_CONFIG) for b in workload]
-    ref_seconds = time.perf_counter() - start
-    cache = RecordDistanceCache(DEFAULT_CONFIG)
-    start = time.perf_counter()
-    fast = [cache.diversity(b) for b in workload]
-    fast_seconds = time.perf_counter() - start
-    assert ref == fast, "cached diversity diverged from Formula 6"
-    return ref_seconds, fast_seconds
-
-
 def test_kernel_bench_emitted():
     blocks = _corpus_blocks()
     assert len(blocks) >= 8, "corpus slice produced too few blocks"
@@ -135,7 +117,6 @@ def test_kernel_bench_emitted():
         ("edit_distance", _bench_edit_distance(pairs)),
         ("forest_distance", _bench_forest(pairs)),
         ("attr_distance", _bench_attr_masks(pairs)),
-        ("diversity", _bench_diversity(blocks)),
     ):
         kernels[name] = {
             "reference_seconds": ref_seconds,
@@ -156,7 +137,6 @@ def test_kernel_bench_emitted():
             "pages_per_engine": PAGES_PER_ENGINE,
             "blocks": len(blocks),
             "pairs": len(pairs),
-            "diversity_rounds": DIVERSITY_ROUNDS,
         },
         "kernels": kernels,
         "caches": kernel_cache_stats(),

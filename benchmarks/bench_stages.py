@@ -51,7 +51,7 @@ def test_stage_stats_emitted():
     ):
         assert stage in stages, f"stage {stage} missing from trace"
     # The cache hit-rate gauge is the headline perf metric.
-    assert "record_distance_cache.hit_rate" in stats["metrics"]["gauges"]
+    assert "perf.record_memo.hit_rate" in stats["metrics"]["gauges"]
 
     with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(stats, handle, indent=2, sort_keys=True)

@@ -202,12 +202,6 @@ class ProjectModel:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     globals: Dict[str, GlobalInfo] = field(default_factory=dict)
 
-    def module_of_path(self, path: str) -> Optional[ModuleInfo]:
-        for info in self.modules.values():
-            if info.path == path:
-                return info
-        return None
-
 
 def _module_name(ctx: ModuleContext) -> str:
     """The dotted module name; path-derived for non-``repro`` files."""

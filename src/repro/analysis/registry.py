@@ -96,14 +96,6 @@ IDENTITY_KEY_FUNCTIONS: Dict[str, str] = {
         "blocks hash by (page identity, span); hashes are process-local "
         "by definition and never serialized"
     ),
-    "repro.features.record_distance.RecordDistanceCache.distance": (
-        "per-run cache keyed on (page identity, span); caches are "
-        "created per page set and never cross processes"
-    ),
-    "repro.features.record_distance.RecordDistanceCache.diversity": (
-        "per-run diversity memo keyed on (page identity, span); same "
-        "lifetime as the distance cache"
-    ),
     "repro.perf.kernels.PairMemo.lookup": (
         "canonicalizes the signature pair by object identity, valid "
         "because signatures are interned and the memo is process-local"

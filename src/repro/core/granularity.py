@@ -31,23 +31,16 @@ from repro.core.model import SectionInstance
 from repro.features.blocks import Block
 from repro.features.cohesion import inter_record_distance, section_cohesion
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
-from repro.features.record_distance import RecordDistanceCache
+from repro.features.record_distance import average_distance
 from repro.htmlmod.dom import Element
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.render.lines import RenderedPage
-
-
-def _davgrs(
-    block: Block, group: Sequence[Block], cache: RecordDistanceCache
-) -> float:
-    return cache.average_to_group(block, list(group))
 
 
 def _boundary_is_special(
     smalls1: List[Block],
     smalls2: List[Block],
     config: FeatureConfig,
-    cache: RecordDistanceCache,
 ) -> bool:
     """The §5.5 test on the pieces of two consecutive oversized records.
 
@@ -58,20 +51,19 @@ def _boundary_is_special(
     if not smalls1 or not smalls2:
         return False
     w = config.refine_w
-    dinr1 = max(inter_record_distance(smalls1, config, cache), config.dinr_floor)
-    dinr2 = max(inter_record_distance(smalls2, config, cache), config.dinr_floor)
+    dinr1 = max(inter_record_distance(smalls1, config), config.dinr_floor)
+    dinr2 = max(inter_record_distance(smalls2, config), config.dinr_floor)
     first_of_r2 = smalls2[0]
     last_of_r1 = smalls1[-1]
     return (
-        _davgrs(first_of_r2, smalls1, cache) > w * dinr1
-        or _davgrs(last_of_r1, smalls2, cache) > w * dinr2
+        average_distance(first_of_r2, smalls1, config) > w * dinr1
+        or average_distance(last_of_r1, smalls2, config) > w * dinr2
     )
 
 
 def _fix_oversized(
     section: SectionInstance,
     config: FeatureConfig,
-    cache: RecordDistanceCache,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> List[SectionInstance]:
     """Oversized-record handling; may split one section into several."""
@@ -82,12 +74,12 @@ def _fix_oversized(
     largest = max(records, key=len)
     if len(largest) <= 1:
         return [section]
-    if len(mine_records(largest, config, cache, obs=obs)) <= 1:
+    if len(mine_records(largest, config, obs=obs)) <= 1:
         return [section]  # the big record does not decompose: fine as is
 
     # Every record decomposes (or not); gather the pieces.
     pieces_per_record = [
-        mine_records(r, config, cache, obs=obs) if len(r) > 1 else [r]
+        mine_records(r, config, obs=obs) if len(r) > 1 else [r]
         for r in records
     ]
 
@@ -96,7 +88,7 @@ def _fix_oversized(
     looks_like_sections = False
     for left, right in zip(pieces_per_record, pieces_per_record[1:]):
         if len(left) > 1 or len(right) > 1:
-            if _boundary_is_special(left, right, config, cache):
+            if _boundary_is_special(left, right, config):
                 looks_like_sections = True
                 break
 
@@ -121,9 +113,7 @@ def _fix_oversized(
 
     flattened = [piece for pieces in pieces_per_record for piece in pieces]
     # Only adopt the finer reading when it actually scores better.
-    if section_cohesion(flattened, config, cache) > section_cohesion(
-        records, config, cache
-    ):
+    if section_cohesion(flattened, config) > section_cohesion(records, config):
         section.records = flattened
         section.origin = section.origin + "+remined"
         obs.count("granularity.records_remined")
@@ -133,7 +123,6 @@ def _fix_oversized(
 def _fix_split_records(
     section: SectionInstance,
     config: FeatureConfig,
-    cache: RecordDistanceCache,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> None:
     """Try coarser partitions (combine k consecutive records) in place."""
@@ -149,7 +138,7 @@ def _fix_split_records(
 
     page = section.page
     best = records
-    best_score = section_cohesion(records, config, cache)
+    best_score = section_cohesion(records, config)
     for k in range(2, n + 1):
         if n % k != 0:
             continue  # uneven groupings would misalign every later record
@@ -157,7 +146,7 @@ def _fix_split_records(
         for i in range(0, n, k):
             chunk = records[i : i + k]
             combined.append(Block(page, chunk[0].start, chunk[-1].end))
-        score = section_cohesion(combined, config, cache)
+        score = section_cohesion(combined, config)
         if score > best_score:
             best, best_score = combined, score
     if best is not records:
@@ -168,8 +157,6 @@ def _fix_split_records(
 
 def _merge_sibling_singletons(
     sections: List[SectionInstance],
-    config: FeatureConfig,
-    cache: RecordDistanceCache,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> List[SectionInstance]:
     """Consecutive sibling one-record sections -> one section (§5.5 end)."""
@@ -235,18 +222,14 @@ def _mergeable(left: SectionInstance, right: SectionInstance) -> bool:
 def resolve_granularity(
     sections: Sequence[SectionInstance],
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> List[SectionInstance]:
     """Run the full §5.5 pass over one page's sections (in page order)."""
-    if cache is None:
-        cache = RecordDistanceCache(config)
-
     expanded: List[SectionInstance] = []
     for section in sections:
-        expanded.extend(_fix_oversized(section, config, cache, obs=obs))
+        expanded.extend(_fix_oversized(section, config, obs=obs))
     for section in expanded:
-        _fix_split_records(section, config, cache, obs=obs)
-    merged = _merge_sibling_singletons(expanded, config, cache, obs=obs)
+        _fix_split_records(section, config, obs=obs)
+    merged = _merge_sibling_singletons(expanded, obs=obs)
     merged.sort(key=lambda s: s.start)
     return merged

@@ -16,10 +16,11 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.algorithms.cliques import section_instance_groups
 from repro.algorithms.stable_marriage import stable_match
-from repro.algorithms.tree_edit import forest_distance
 from repro.core.model import SectionInstance
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
 from repro.obs import NULL_OBSERVER, ObserverLike
+from repro.perf.fingerprints import block_fingerprint
+from repro.perf.kernels import lazy_forest_distance
 from repro.render.lines import ContentLine
 from repro.tagpath.paths import TagPath
 
@@ -84,9 +85,14 @@ def _sbm_similarity(s1: SectionInstance, s2: SectionInstance) -> float:
 def _forest_similarity(s1: SectionInstance, s2: SectionInstance) -> float:
     if not s1.records or not s2.records:
         return 0.0
-    rep1 = s1.records[0].tag_forest()
-    rep2 = s2.records[0].tag_forest()
-    return 1.0 - forest_distance(rep1, rep2)
+    rep1 = s1.records[0]
+    rep2 = s2.records[0]
+    return 1.0 - lazy_forest_distance(
+        rep1.tag_forest,
+        rep2.tag_forest,
+        block_fingerprint(rep1).forest_sig,
+        block_fingerprint(rep2).forest_sig,
+    )
 
 
 def match_score(s1: SectionInstance, s2: SectionInstance) -> float:

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.features.blocks import Block, partition_block
 from repro.features.cohesion import best_partition
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
-from repro.features.record_distance import RecordDistanceCache
 from repro.htmlmod.dom import Element
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.render.linetypes import LineType
@@ -129,7 +128,6 @@ def _uniform_starts(records: Sequence[Block]) -> bool:
 def mine_records(
     block: Block,
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> List[Block]:
     """Partition a DS block into records (§5.4).
@@ -141,23 +139,20 @@ def mine_records(
     opening line (and true single-record DSs) fall through to the pure
     cohesion criterion, which then correctly favours the whole-DS record.
     """
-    if cache is None:
-        cache = RecordDistanceCache(config)
     candidates = candidate_partitions(block, config)
     obs.count("mine.calls")
     obs.count("mine.candidate_partitions", len(candidates))
     evidenced = [p for p in candidates if len(p) >= 2 and _has_start_evidence(p)]
     if evidenced:
         obs.count("mine.evidenced")
-        return best_partition(evidenced, config, cache)
-    return best_partition(candidates, config, cache)
+        return best_partition(evidenced, config)
+    return best_partition(candidates, config)
 
 
 def mine_block(
     block: Block,
     strategy: str,
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> List[Block]:
     """Mining-strategy dispatch used by the pipeline's mine stage.
@@ -174,7 +169,7 @@ def mine_block(
         if not candidates:
             return [block]
         return max(candidates, key=len)
-    return mine_records(block, config, cache, obs=obs)
+    return mine_records(block, config, obs=obs)
 
 
 def _has_start_evidence(partition: Sequence[Block]) -> bool:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.features.blocks import Block
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
-from repro.features.record_distance import RecordDistanceCache
+from repro.features.record_distance import record_distance
 from repro.render.lines import ContentLine, RenderedPage
 from repro.render.linetypes import LineType
 
@@ -59,12 +59,13 @@ class TentativeMR:
         """The MR's full line span as one block."""
         return Block(self.page, self.start, self.end)
 
-    def internal_distance(self, cache: RecordDistanceCache) -> float:
+    def internal_distance(self, config: FeatureConfig = DEFAULT_CONFIG) -> float:
         """Mean consecutive record distance (0 for a single record)."""
         if len(self.records) < 2:
             return 0.0
         pairs = zip(self.records, self.records[1:])
-        return sum(cache.distance(a, b) for a, b in pairs) / (len(self.records) - 1)
+        total = sum(record_distance(a, b, config) for a, b in pairs)
+        return total / (len(self.records) - 1)
 
 
 #: Maximum Drec between a candidate record and the nearest of the run's
@@ -101,7 +102,6 @@ def _signature_occurrences(page: RenderedPage) -> Dict[Tuple[LineType, int], Lis
 def _runs_from_occurrences(
     page: RenderedPage,
     starts: Sequence[int],
-    cache: RecordDistanceCache,
     config: FeatureConfig,
 ) -> List[TentativeMR]:
     """Grow maximal similar runs of candidate records from pattern starts."""
@@ -129,7 +129,10 @@ def _runs_from_occurrences(
         path = page.lines[block.start].tag_path
         compatible = path.compatible(base_path)
         similar = (
-            min(cache.distance(prev, block) for prev in current[-RUN_MEMORY:])
+            min(
+                record_distance(prev, block, config)
+                for prev in current[-RUN_MEMORY:]
+            )
             <= SIMILARITY_THRESHOLD
         )
         adjacent = block.start == current[-1].end + 1
@@ -212,12 +215,12 @@ def _group_by_area(tentatives: List[TentativeMR]) -> List[List[TentativeMR]]:
 
 
 def _best_of_group(
-    group: List[TentativeMR], cache: RecordDistanceCache
+    group: List[TentativeMR], config: FeatureConfig
 ) -> TentativeMR:
     """Wrapper-selection rule: most records, then tightest, then widest."""
 
     def score(mr: TentativeMR) -> Tuple[int, float, int]:
-        return (len(mr.records), -mr.internal_distance(cache), mr.span)
+        return (len(mr.records), -mr.internal_distance(config), mr.span)
 
     return max(group, key=score)
 
@@ -225,26 +228,22 @@ def _best_of_group(
 def extract_mrs(
     page: RenderedPage,
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
 ) -> List[TentativeMR]:
     """All multi-record sections of a page, in document order.
 
     The returned MRs may include static repeating content and imperfect
     boundaries; §5.3-§5.5 stages clean them up.
     """
-    if cache is None:
-        cache = RecordDistanceCache(config)
-
     tentatives: List[TentativeMR] = []
     for starts in _signature_occurrences(page).values():
         if len(starts) >= MIN_RECORDS:
-            tentatives.extend(_runs_from_occurrences(page, starts, cache, config))
+            tentatives.extend(_runs_from_occurrences(page, starts, config))
 
     if not tentatives:
         return []
 
     best = [
-        _reanchor_records(_best_of_group(group, cache))
+        _reanchor_records(_best_of_group(group, config))
         for group in _group_by_area(tentatives)
     ]
     best.sort(key=lambda mr: mr.start)

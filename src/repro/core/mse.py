@@ -89,7 +89,7 @@ class MSE:
                 )
         runner = PipelineRunner(store=store)
         runner.run(ctx, induction_stages(self.select_sections))
-        self._observe_run(ctx)
+        observe_kernel_gauges(self.obs)
         engine: EngineWrapper = ctx.engine
         return engine
 
@@ -113,7 +113,7 @@ class MSE:
             self.obs,
         )
         PipelineRunner().run(ctx, analysis_stages())
-        self._observe_run(ctx)
+        observe_kernel_gauges(self.obs)
         return self.select_sections(ctx.sections_per_page)
 
     def select_sections(
@@ -128,27 +128,6 @@ class MSE:
         valid on resumed runs.
         """
         return sections_per_page
-
-    def _observe_run(self, ctx: InductionContext) -> None:
-        """End-of-analysis cache/kernel gauges (trace + bench surface)."""
-        obs = self.obs
-        hits = sum(cache.hits for cache in ctx.caches)
-        misses = sum(cache.misses for cache in ctx.caches)
-        obs.gauge("record_distance_cache.hits", hits)
-        obs.gauge("record_distance_cache.misses", misses)
-        obs.gauge(
-            "record_distance_cache.hit_rate",
-            hits / (hits + misses) if hits + misses else 0.0,
-        )
-        div_hits = sum(cache.diversity_hits for cache in ctx.caches)
-        div_misses = sum(cache.diversity_misses for cache in ctx.caches)
-        obs.gauge("diversity_cache.hits", div_hits)
-        obs.gauge("diversity_cache.misses", div_misses)
-        obs.gauge(
-            "diversity_cache.hit_rate",
-            div_hits / (div_hits + div_misses) if div_hits + div_misses else 0.0,
-        )
-        observe_kernel_gauges(obs)
 
     # -- helpers ------------------------------------------------------------
     @staticmethod

@@ -33,29 +33,22 @@ from repro.core.mre import TentativeMR
 from repro.features.blocks import Block
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
 from repro.features.cohesion import inter_record_distance
-from repro.features.record_distance import RecordDistanceCache
+from repro.features.record_distance import average_distance
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.render.lines import RenderedPage
 
 
-def _threshold(
-    overlap_records: Sequence[Block],
-    config: FeatureConfig,
-    cache: RecordDistanceCache,
-) -> float:
+def _threshold(overlap_records: Sequence[Block], config: FeatureConfig) -> float:
     """W * max(Dinr(OL), floor) — the record-acceptance threshold."""
-    dinr = inter_record_distance(overlap_records, config, cache)
+    dinr = inter_record_distance(overlap_records, config)
     return config.refine_w * max(dinr, config.dinr_floor)
 
 
 def _similar(
-    candidate: Block,
-    overlap_records: Sequence[Block],
-    config: FeatureConfig,
-    cache: RecordDistanceCache,
+    candidate: Block, overlap_records: Sequence[Block], config: FeatureConfig
 ) -> bool:
-    return cache.average_to_group(candidate, list(overlap_records)) <= _threshold(
-        overlap_records, config, cache
+    return average_distance(candidate, overlap_records, config) <= _threshold(
+        overlap_records, config
     )
 
 
@@ -66,7 +59,6 @@ def _grow_into_ed(
     ed_end: int,
     side: str,
     config: FeatureConfig,
-    cache: RecordDistanceCache,
 ) -> Tuple[List[Block], Optional[Tuple[int, int]]]:
     """Absorb ED lines into ``records`` (Figure 8, lines 7-14).
 
@@ -79,8 +71,8 @@ def _grow_into_ed(
             tentative = [Block(page, ed_start, e) for e in range(ed_start, ed_end + 1)]
         else:
             tentative = [Block(page, s, ed_end) for s in range(ed_end, ed_start - 1, -1)]
-        best = min(tentative, key=lambda b: cache.average_to_group(b, records))
-        if not _similar(best, records, config, cache):
+        best = min(tentative, key=lambda b: average_distance(b, records, config))
+        if not _similar(best, records, config):
             break
         if side == "right":
             records.append(best)
@@ -109,7 +101,6 @@ def _verify_boundary(
     side: str,
     csbms: Set[int],
     config: FeatureConfig,
-    cache: RecordDistanceCache,
 ) -> Tuple[List[Block], Optional[int]]:
     """EM handling (Figure 8, lines 2-6), generalized to either side.
 
@@ -129,7 +120,7 @@ def _verify_boundary(
         if not containing:
             break
         boundary_record = containing[0]
-        if not _similar(boundary_record, overlap + accepted, config, cache):
+        if not _similar(boundary_record, overlap + accepted, config):
             break  # marker verified
         accepted.append(boundary_record)
         if side == "left":
@@ -177,13 +168,9 @@ def refine_page(
     dss: Sequence[DynamicSection],
     csbms: Set[int],
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
     obs: ObserverLike = NULL_OBSERVER,
 ) -> RefineResult:
     """Run the §5.3 refinement over one page's MRs and DSs."""
-    if cache is None:
-        cache = RecordDistanceCache(config)
-
     if obs.enabled:
         # Case 5's static half: MRs that overlap no DS are repeated
         # template content and never enter the loop below.
@@ -231,7 +218,7 @@ def refine_page(
             # --- EM on the left: MR extends left past the DS (case 4) ---
             if mr.start < ds.start and ds.lbm is not None:
                 extra, _marker = _verify_boundary(
-                    list(mr.records), overlap, ds.lbm, "left", csbms, config, cache
+                    list(mr.records), overlap, ds.lbm, "left", csbms, config
                 )
                 for record in extra:
                     # Absorbed records extend the section past the old LBM.
@@ -240,7 +227,7 @@ def refine_page(
             # --- EM on the right: MR extends right past the DS ---
             if mr.end > ds.end and ds.rbm is not None:
                 extra, _marker = _verify_boundary(
-                    list(mr.records), overlap, ds.rbm, "right", csbms, config, cache
+                    list(mr.records), overlap, ds.rbm, "right", csbms, config
                 )
                 records.extend(extra)
 
@@ -248,7 +235,7 @@ def refine_page(
             first_start = records[0].start
             if cursor < first_start:
                 records, leftover = _grow_into_ed(
-                    page, records, cursor, first_start - 1, "left", config, cache
+                    page, records, cursor, first_start - 1, "left", config
                 )
                 if leftover is not None:
                     pending.append(
@@ -261,7 +248,7 @@ def refine_page(
             ed_limit = ds.end if is_last else min(ds.end, overlapping[mr_index + 1].start - 1)
             if last_end < ed_limit:
                 records, leftover = _grow_into_ed(
-                    page, records, last_end + 1, ed_limit, "right", config, cache
+                    page, records, last_end + 1, ed_limit, "right", config
                 )
                 if leftover is not None and is_last:
                     pending.append(

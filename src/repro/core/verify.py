@@ -32,7 +32,6 @@ from repro.core.wrapper import (
     render_result_page,
 )
 from repro.features.cohesion import inter_record_distance
-from repro.features.record_distance import RecordDistanceCache
 from repro.htmlmod.dom import Document, Element
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.perf.fingerprints import ATTR_INTERNER
@@ -269,7 +268,6 @@ def health_from_applications(
     :class:`~repro.core.wrapper.PageApplications` for extraction *and*
     health, so both stay bit-identical by construction.
     """
-    cache = RecordDistanceCache(engine.config)
     outcomes: List[SectionHealth] = []
     for wrapper, instance in zip(engine.wrappers, instances):
         if instance is None:
@@ -279,16 +277,14 @@ def health_from_applications(
             continue
         memo_key = (
             _section_dinr_key(engine.config, instance)
-            if engine.config.fast_kernels and len(instance.records) >= 2
+            if len(instance.records) >= 2
             else None
         )
         memoized = DINR_MEMO.get(memo_key) if memo_key is not None else None
         if memoized is not None:
             homogeneity = memoized
         else:
-            homogeneity = inter_record_distance(
-                instance.records, engine.config, cache
-            )
+            homogeneity = inter_record_distance(instance.records, engine.config)
             if memo_key is not None:
                 DINR_MEMO.store(memo_key, homogeneity)
         outcomes.append(
@@ -302,8 +298,6 @@ def health_from_applications(
             )
         )
 
-    obs.count("check.cache.hits", cache.hits)
-    obs.count("check.cache.misses", cache.misses)
     if not outcomes:
         obs.count("check.pages_drifted")
         return WrapperHealth(sections=(), score=0.0)

@@ -10,7 +10,6 @@ from repro.features.cohesion import (
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
 from repro.features.line_distance import line_distance, position_distance, text_attr_distance
 from repro.features.record_distance import (
-    RecordDistanceCache,
     block_position_distance,
     block_shape_distance,
     block_text_attr_distance,
@@ -23,7 +22,6 @@ __all__ = [
     "Block",
     "DEFAULT_CONFIG",
     "FeatureConfig",
-    "RecordDistanceCache",
     "best_partition",
     "block_position_distance",
     "block_shape_distance",

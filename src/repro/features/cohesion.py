@@ -7,33 +7,31 @@ into records therefore has high average record diversity and low
 inter-record distance; :func:`section_cohesion` (Formula 7) scores a
 candidate partition accordingly, and record mining picks the partition
 with the highest cohesion.
+
+Drec values come from :func:`~repro.features.record_distance.record_distance`,
+whose process-wide ``RECORD_MEMO`` serves every repeated pair; Div is a
+short pass over one record's lines and is computed directly.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.features.blocks import Block
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
 from repro.features.line_distance import line_distance
-from repro.features.record_distance import RecordDistanceCache
+from repro.features.record_distance import record_distance
 
 
 def record_diversity(
     record: Block,
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
 ) -> float:
     """Div(r) (Formula 6): mean pairwise line distance within a record.
 
-    A single-line record has diversity 0.  With a cache the value is
-    memoized by the record's line span, so candidate partitions sharing
-    sub-blocks (as ``best_partition``'s inputs always do) pay for each
-    span once.
+    A single-line record has diversity 0.
     """
-    if cache is not None:
-        return cache.diversity(record)
     lines = record.lines
     if len(lines) < 2:
         return 0.0
@@ -45,7 +43,6 @@ def record_diversity(
 def inter_record_distance(
     records: Sequence[Block],
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
 ) -> float:
     """Dinr(S) (Formula 5): mean pairwise record distance in a section.
 
@@ -53,9 +50,9 @@ def inter_record_distance(
     """
     if len(records) < 2:
         return 0.0
-    if cache is None:
-        cache = RecordDistanceCache(config)
-    total = sum(cache.distance(r1, r2) for r1, r2 in combinations(records, 2))
+    total = sum(
+        record_distance(r1, r2, config) for r1, r2 in combinations(records, 2)
+    )
     pairs = len(records) * (len(records) - 1) // 2
     return total / pairs
 
@@ -63,7 +60,6 @@ def inter_record_distance(
 def section_cohesion(
     records: Sequence[Block],
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
 ) -> float:
     """Cohs(S) (Formula 7): (mean Div) / (1 + Dinr).
 
@@ -72,14 +68,13 @@ def section_cohesion(
     """
     if not records:
         return 0.0
-    mean_diversity = sum(record_diversity(r, config, cache) for r in records) / len(records)
-    return mean_diversity / (1.0 + inter_record_distance(records, config, cache))
+    mean_diversity = sum(record_diversity(r, config) for r in records) / len(records)
+    return mean_diversity / (1.0 + inter_record_distance(records, config))
 
 
 def best_partition(
     partitions: Sequence[List[Block]],
     config: FeatureConfig = DEFAULT_CONFIG,
-    cache: Optional[RecordDistanceCache] = None,
 ) -> List[Block]:
     """The candidate partition with the highest section cohesion.
 
@@ -90,10 +85,8 @@ def best_partition(
     """
     if not partitions:
         raise ValueError("no candidate partitions")
-    if cache is None:
-        cache = RecordDistanceCache(config)
     scored = [
-        (section_cohesion(p, config, cache), len(p), -index, p)
+        (section_cohesion(p, config), len(p), -index, p)
         for index, p in enumerate(partitions)
     ]
     scored.sort(key=lambda item: (item[0], item[1], item[2]))

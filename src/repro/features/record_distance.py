@@ -1,19 +1,20 @@
 """Block/record-level distances: Dtf, Dbt, Dbs, Dbp, Dbta and Drec (F4).
 
-The module-level distance functions are the *reference* kernels — the
-paper's formulas computed directly over the block features.
-:func:`record_distance` additionally owns the production fast path:
-with ``config.fast_kernels`` (the default) it compares the compact
-interned fingerprints of :mod:`repro.perf` — bitmask Dtal, memoized
-tag-forest distance, identity-checked feature tuples — which are
-score-identical to the reference kernels (property-tested in
-``tests/test_perf_kernels.py``, benchmarked in
-``benchmarks/bench_kernels.py``).
+The per-component functions and :func:`record_distance_reference` are
+the *reference* kernels — the paper's formulas computed directly over
+the block features.  :func:`record_distance` is the one production
+path: it compares the compact interned fingerprints of
+:mod:`repro.perf` — bitmask Dtal, memoized tag-forest distance,
+identity-checked feature tuples — and memoizes the weighted sum in the
+process-wide ``RECORD_MEMO``.  It is score-identical to the reference
+(property-tested in ``tests/test_perf_kernels.py``, benchmarked in
+``benchmarks/bench_kernels.py``); the kernel memos are the only memo
+layer, so callers simply call it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 from repro.algorithms.string_edit import normalized_edit_distance
 from repro.algorithms.tree_edit import forest_distance as _tree_forest_distance
@@ -87,9 +88,6 @@ def record_distance(
     ):
         # The same line span: every component distance is exactly 0.
         return 0.0
-    if not config.fast_kernels:
-        return _record_distance_reference(block1, block2, config)
-
     fp1 = block_fingerprint(block1)
     fp2 = block_fingerprint(block2)
     if fp1 == fp2:
@@ -150,12 +148,12 @@ def record_distance(
     return result
 
 
-def _record_distance_reference(
+def record_distance_reference(
     block1: Block,
     block2: Block,
     config: FeatureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Formula 4 over the naive kernels (the fast path's oracle)."""
+    """Formula 4 over the naive kernels: :func:`record_distance`'s oracle."""
     v1, v2, v3, v4, v5 = config.record_weights
     return (
         v1 * tag_forest_distance(block1, block2)
@@ -166,87 +164,12 @@ def _record_distance_reference(
     )
 
 
-class RecordDistanceCache:
-    """Memoizes pairwise record distances within one extraction run.
-
-    Refinement and granularity analysis recompute Drec for the same block
-    pairs many times; blocks hash by (page, start, end) so a small dict
-    cache removes the duplicate tree-edit work.  A second memo serves
-    record diversity (Formula 6), which ``best_partition`` would
-    otherwise recompute for every sub-block shared between candidate
-    partitions.
-
-    The cache keeps hit/miss counters so the observability layer can
-    report how much duplicate work memoization actually removed (the
-    ``cache.hits`` / ``cache.misses`` stage counters and the
-    ``record_distance_cache.hit_rate`` / ``diversity_cache.hit_rate``
-    gauges).
-    """
-
-    def __init__(self, config: FeatureConfig = DEFAULT_CONFIG) -> None:
-        self.config = config
-        self._cache: Dict[Tuple[Tuple[int, int, int], Tuple[int, int, int]], float] = {}
-        self.hits = 0
-        self.misses = 0
-        self._diversity: Dict[Tuple[int, int, int], float] = {}
-        self.diversity_hits = 0
-        self.diversity_misses = 0
-
-    def distance(self, block1: Block, block2: Block) -> float:
-        """Drec with memoization (symmetric)."""
-        key1 = (id(block1.page), block1.start, block1.end)
-        key2 = (id(block2.page), block2.start, block2.end)
-        key = (key1, key2) if key1 <= key2 else (key2, key1)
-        found = self._cache.get(key)
-        if found is None:
-            self.misses += 1
-            found = record_distance(block1, block2, self.config)
-            self._cache[key] = found
-        else:
-            self.hits += 1
-        return found
-
-    def diversity(self, block: Block) -> float:
-        """Div(r) (Formula 6) with memoization by the block's line span."""
-        key = (id(block.page), block.start, block.end)
-        found = self._diversity.get(key)
-        if found is None:
-            self.diversity_misses += 1
-            from repro.features.cohesion import record_diversity
-
-            found = record_diversity(block, self.config)
-            self._diversity[key] = found
-        else:
-            self.diversity_hits += 1
-        return found
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def diversity_hit_rate(self) -> float:
-        """Fraction of diversity lookups served from the cache."""
-        total = self.diversity_hits + self.diversity_misses
-        return self.diversity_hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Hit/miss counters plus derived rate and current size."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "entries": len(self._cache),
-            "diversity_hits": self.diversity_hits,
-            "diversity_misses": self.diversity_misses,
-            "diversity_hit_rate": self.diversity_hit_rate,
-            "diversity_entries": len(self._diversity),
-        }
-
-    def average_to_group(self, block: Block, group: Sequence[Block]) -> float:
-        """Davgrs(block, group): mean Drec from ``block`` to each member."""
-        if not group:
-            return 0.0
-        return sum(self.distance(block, member) for member in group) / len(group)
+def average_distance(
+    block: Block,
+    group: Sequence[Block],
+    config: FeatureConfig = DEFAULT_CONFIG,
+) -> float:
+    """Davgrs(block, group): mean Drec from ``block`` to each member."""
+    if not group:
+        return 0.0
+    return sum(record_distance(block, member, config) for member in group) / len(group)

@@ -1,8 +1,8 @@
 """Metrics primitives: counters, gauges and timing histograms.
 
 The registry is deliberately tiny and dependency-free.  Counters are
-monotonically increasing integers/floats (``cache.hits``), gauges are
-last-write-wins values (``record_distance_cache.hit_rate``), and timings
+monotonically increasing integers/floats (``mine.calls``), gauges are
+last-write-wins values (``perf.record_memo.hit_rate``), and timings
 are streaming summaries (count / total / min / max / mean) of observed
 durations.  The whole registry snapshots to plain JSON-able dicts so the
 CLI, the evaluation harness and the benchmarks can all persist the same

@@ -10,9 +10,10 @@ implementations:
 - :mod:`repro.perf.fingerprints` — per-block compact signatures:
   attribute-set bitmasks (Dtal by popcount), interned feature tuples
   and flattened post-order tag-forest signatures;
-- :mod:`repro.perf.kernels` — process-wide tree/forest distance memos
-  keyed on those signatures, with hit/miss statistics surfaced as
-  ``perf.*`` observability gauges;
+- :mod:`repro.perf.kernels` — the process-wide tree, forest, record
+  (Drec) and section (Dinr) distance memos, the only memo layer for the
+  §4 distances, with hit/miss statistics surfaced as ``perf.*``
+  observability gauges;
 - :mod:`repro.perf.serve` — the serving path: one shared render per
   page, from which the engine wrapper's extraction *and* its health
   are assembled (one apply pass, the same

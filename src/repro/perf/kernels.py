@@ -2,21 +2,25 @@
 
 Tag forests repeat massively across records, pages and engines — every
 record of a section shares one tag structure, and the corpus reuses a
-small population of record styles.  The kernels here memoize the two
-tree-edit-shaped hot paths process-wide, keyed on the flattened
-post-order signatures of :mod:`repro.perf.fingerprints`:
+small population of record styles.  The memos here are the only memo
+layer for the paper's §4 distances, all process-wide:
 
 - :func:`fast_normalized_tree_distance` — one Zhang–Shasha run per
-  distinct *pair of tree signatures*, ever;
-- :func:`fast_forest_distance` — one generalized-Levenshtein run per
-  distinct *pair of forest signatures*, ever.
+  distinct *pair of tree signatures*, ever (``TREE_MEMO``), keyed on
+  the flattened post-order signatures of :mod:`repro.perf.fingerprints`;
+- :func:`lazy_forest_distance` — one generalized-Levenshtein run per
+  distinct *pair of forest signatures*, ever (``FOREST_MEMO``); the one
+  forest-distance body, shared by Drec's Dtf term and §5.6 grouping;
+- ``RECORD_MEMO`` — whole Drec values, filled by
+  :func:`repro.features.record_distance.record_distance`;
+- ``DINR_MEMO`` — whole-section Dinr values, filled by the health check.
 
-Both produce floats bit-identical to the reference implementations in
-:mod:`repro.algorithms.tree_edit`: a memo hit returns the exact value a
-fresh computation would produce, because the distances are pure
-functions of the signatures.  Every memo keeps hit/miss counters
-(mirroring ``RecordDistanceCache.stats()``) surfaced through
-:func:`kernel_cache_stats` and the ``perf.*`` observability gauges.
+Every value is bit-identical to the reference implementations in
+:mod:`repro.algorithms.tree_edit` and :mod:`repro.features`: a memo hit
+returns the exact value a fresh computation would produce, because the
+distances are pure functions of their keys.  Every memo keeps hit/miss
+counters, surfaced through :func:`kernel_cache_stats` and the
+``perf.<memo>.*`` observability gauges.
 """
 
 from __future__ import annotations
@@ -175,49 +179,22 @@ def fast_normalized_tree_distance(tree1: SignedTree, tree2: SignedTree) -> float
     return found
 
 
-def fast_forest_distance(
-    forest1: Sequence[OrderedTree],
-    forest2: Sequence[OrderedTree],
-    sig1: Optional[Interned] = None,
-    sig2: Optional[Interned] = None,
-) -> float:
-    """Memoized normalized tag-forest distance (paper §4.1).
-
-    Bit-identical to :func:`repro.algorithms.tree_edit.forest_distance`;
-    pass the fingerprints' interned forest signatures to skip
-    re-signing.  Two memo layers cooperate: a hit at the forest level
-    skips everything, a miss runs the sequence kernel whose per-pair
-    substitution costs hit the tree-level memo.
-    """
-    if sig1 is None:
-        sig1 = interned_forest_signature(forest1)
-    if sig2 is None:
-        sig2 = interned_forest_signature(forest2)
-    if sig1 is sig2 or sig1 == sig2:
-        return 0.0
-    key, found = FOREST_MEMO.lookup(sig1, sig2)
-    if found is None:
-        signed1 = [SignedTree(t, s) for t, s in zip(forest1, sig1)]
-        signed2 = [SignedTree(t, s) for t, s in zip(forest2, sig2)]
-        found = normalized_edit_distance(
-            signed1, signed2, substitution_cost=fast_normalized_tree_distance
-        )
-        FOREST_MEMO.store(key, found)
-    return found
-
-
 def lazy_forest_distance(
     forest1: Callable[[], Sequence[OrderedTree]],
     forest2: Callable[[], Sequence[OrderedTree]],
     sig1: Interned,
     sig2: Interned,
 ) -> float:
-    """:func:`fast_forest_distance` with forest construction deferred.
+    """Memoized normalized tag-forest distance (paper §4.1).
 
-    The callers that sit behind further memo layers (``record_distance``)
-    already hold interned signatures; the :class:`OrderedTree` forests
-    are only needed when the forest memo itself misses, so they are
-    built by thunk — in the warm serving loop that is almost never.
+    Bit-identical to :func:`repro.algorithms.tree_edit.forest_distance`
+    over the two forests whose interned signatures are ``sig1`` and
+    ``sig2``.  The callers (``record_distance``, §5.6 grouping) hold the
+    signatures from the block fingerprints; the :class:`OrderedTree`
+    forests are built by thunk only when the forest memo misses — in the
+    warm serving loop, almost never.  Two memo layers cooperate: a hit
+    at the forest level skips everything, a miss runs the sequence
+    kernel whose per-pair substitution costs hit the tree-level memo.
     """
     if sig1 is sig2 or sig1 == sig2:
         return 0.0
@@ -230,6 +207,18 @@ def lazy_forest_distance(
         )
         FOREST_MEMO.store(key, found)
     return found
+
+
+def fast_forest_distance(
+    forest1: Sequence[OrderedTree], forest2: Sequence[OrderedTree]
+) -> float:
+    """:func:`lazy_forest_distance` over two materialized forests."""
+    return lazy_forest_distance(
+        lambda: forest1,
+        lambda: forest2,
+        interned_forest_signature(forest1),
+        interned_forest_signature(forest2),
+    )
 
 
 def kernel_cache_stats() -> Dict[str, Dict[str, float]]:

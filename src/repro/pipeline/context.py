@@ -3,8 +3,10 @@
 Before the staged architecture, ``MSE.analyze_pages`` threaded five
 parallel lists (pages, MRs, DSs, CSBMs, caches) through private
 methods.  :class:`InductionContext` replaces that: it owns the sample
-inputs, the rendered pages, the per-page distance caches, the config and
-the observer, plus a named artifact map that the stages read and write.
+inputs, the rendered pages, the config and the observer, plus a named
+artifact map that the stages read and write.  Distance memoization is
+not the context's concern: the stages call the record distances, whose
+process-wide kernel memos (:mod:`repro.perf.kernels`) serve repeats.
 
 Artifact names (see :mod:`repro.pipeline.stages` for producers):
 
@@ -32,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro.core.mse_config import MSEConfig
-from repro.features.record_distance import RecordDistanceCache
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.render.lines import RenderedPage
 
@@ -74,8 +75,6 @@ class InductionContext:
     samples: List[Tuple[str, str]]
     config: MSEConfig
     obs: ObserverLike = NULL_OBSERVER
-    #: per-page record-distance caches (created by the render stage)
-    caches: List[RecordDistanceCache] = field(default_factory=list)
     #: stage artifacts by name; page-scope values are per-page lists
     artifacts: Dict[str, Any] = field(default_factory=dict)
 
@@ -111,7 +110,6 @@ class InductionContext:
         cfg = config or MSEConfig()
         ctx = cls(samples=[("", query) for query in queries], config=cfg, obs=obs)
         ctx.artifacts["page"] = list(pages)
-        ctx.caches = [RecordDistanceCache(cfg.features) for _ in pages]
         return ctx
 
     # -- identity -------------------------------------------------------

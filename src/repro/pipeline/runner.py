@@ -30,9 +30,8 @@ and resumed runs produce bit-identical wrappers.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.features.record_distance import RecordDistanceCache
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.context import InductionContext
 from repro.pipeline.stages import (
@@ -48,30 +47,13 @@ _ALL = -1
 
 
 @contextmanager
-def _booked_span(ctx: InductionContext, stage: Stage) -> Iterator[None]:
-    """A stage span that books the stage's share of record-distance
-    cache traffic as ``cache.hits`` / ``cache.misses`` counters (the
-    trace shape the monolithic orchestrator established)."""
+def _stage_span(ctx: InductionContext, stage: Stage) -> Iterator[None]:
+    """The stage's span, or nothing for an unspanned stage."""
     if not stage.spanned:
         yield
         return
     with ctx.obs.span(stage.name):
-        hits_before, misses_before = _cache_totals(ctx.caches)
-        try:
-            yield
-        finally:
-            hits_after, misses_after = _cache_totals(ctx.caches)
-            if hits_after > hits_before:
-                ctx.obs.count("cache.hits", hits_after - hits_before)
-            if misses_after > misses_before:
-                ctx.obs.count("cache.misses", misses_after - misses_before)
-
-
-def _cache_totals(caches: Sequence[RecordDistanceCache]) -> Tuple[int, int]:
-    return (
-        sum(cache.hits for cache in caches),
-        sum(cache.misses for cache in caches),
-    )
+        yield
 
 
 class PipelineRunner:
@@ -87,7 +69,6 @@ class PipelineRunner:
         """Execute the stages in order; artifacts land in ``ctx``."""
         self._fresh = {}
         for stage in stages:
-            self._ensure_caches(ctx)
             if isinstance(stage, BarrierStage):
                 self._run_barrier(ctx, stage)
             else:
@@ -127,7 +108,7 @@ class PipelineRunner:
                 return
 
         previous = {name: ctx.artifacts.get(name) for name in stage.provides}
-        with _booked_span(ctx, stage):
+        with _stage_span(ctx, stage):
             produced = stage.run(ctx)
         for name, value in produced.items():
             ctx.artifacts[name] = value
@@ -164,7 +145,7 @@ class PipelineRunner:
             return
 
         computed: Dict[str, Dict[str, Any]] = {}
-        with _booked_span(ctx, stage):
+        with _stage_span(ctx, stage):
             for index in pending:
                 produced = stage.run_page(ctx, index)
                 for name, value in produced.items():
@@ -180,12 +161,3 @@ class PipelineRunner:
                     self._mark_fresh(name, index)
         if store is not None:
             store.save_pages(stage.name, computed)
-
-    # -- helpers --------------------------------------------------------
-    def _ensure_caches(self, ctx: InductionContext) -> None:
-        """Per-page record-distance caches, once pages exist."""
-        if ctx.pages and len(ctx.caches) != len(ctx.pages):
-            ctx.caches = [
-                RecordDistanceCache(ctx.config.features) for _ in ctx.pages
-            ]
-

@@ -202,9 +202,7 @@ class MreStage(PageStage):
     provides = ("mrs",)
 
     def run_page(self, ctx: InductionContext, index: int) -> Dict[str, Any]:
-        mrs = extract_mrs(
-            ctx.pages[index], ctx.config.features, ctx.caches[index]
-        )
+        mrs = extract_mrs(ctx.pages[index], ctx.config.features)
         ctx.obs.count("mre.sections", len(mrs))
         ctx.obs.count("mre.records", sum(len(mr.records) for mr in mrs))
         return {"mrs": mrs}
@@ -265,7 +263,6 @@ class RefineStage(PageStage):
                 dss,
                 csbms,
                 ctx.config.features,
-                ctx.caches[index],
                 obs=ctx.obs,
             )
             sections = list(result.sections)
@@ -309,7 +306,6 @@ class MineStage(PageStage):
                 block,
                 ctx.config.mining_strategy,
                 ctx.config.features,
-                ctx.caches[index],
                 obs=ctx.obs,
             )
             mined_records += len(records)
@@ -339,7 +335,7 @@ class GranularityStage(PageStage):
         sections = cast(List[SectionInstance], ctx.artifacts["mined"][index])
         if ctx.config.use_granularity:
             sections = resolve_granularity(
-                sections, ctx.config.features, ctx.caches[index], obs=ctx.obs
+                sections, ctx.config.features, obs=ctx.obs
             )
         ctx.obs.count("granularity.sections", len(sections))
         return {"sections": sections}

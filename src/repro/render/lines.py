@@ -35,15 +35,6 @@ class ContentLine:
     _tag_path: Optional[TagPath] = field(default=None, repr=False, compare=False)
 
     @property
-    def anchor_element(self) -> Element:
-        """The element that directly contains the line's first leaf."""
-        first = self.leaves[0]
-        if isinstance(first, Element):
-            return first
-        assert first.parent is not None
-        return first.parent
-
-    @property
     def tag_path(self) -> TagPath:
         """Compact tag path to the line's first leaf (cached)."""
         if self._tag_path is None:

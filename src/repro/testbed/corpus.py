@@ -49,9 +49,6 @@ class EnginePages:
         """(html, query) pairs of the held-out test pages."""
         return list(zip(self.pages[SAMPLE_PAGES:], self.queries[SAMPLE_PAGES:]))
 
-    def truth_of(self, page_index: int) -> PageTruth:
-        return self.truths[page_index]
-
 
 def make_engine(engine_id: int) -> SyntheticEngine:
     """Engine ``engine_id`` of the corpus (0..118)."""

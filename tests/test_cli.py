@@ -444,7 +444,7 @@ class TestTraceFlags:
         # Stage counters and the cache hit-rate gauge made it to disk.
         by_name = {span["name"]: span for span in top_level}
         assert by_name["render"]["counters"]["render.pages"] == 5
-        assert "record_distance_cache.hit_rate" in doc["metrics"]["gauges"]
+        assert "perf.record_memo.hit_rate" in doc["metrics"]["gauges"]
 
     def test_induce_stats_prints_report(self, workspace, capsys):
         code = main(

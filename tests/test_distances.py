@@ -19,7 +19,7 @@ from repro.features.line_distance import (
     text_attr_distance,
 )
 from repro.features.record_distance import (
-    RecordDistanceCache,
+    average_distance,
     block_position_distance,
     block_shape_distance,
     block_text_attr_distance,
@@ -151,18 +151,21 @@ class TestBlockDistances:
             FeatureConfig(record_weights=(1.0, 1.0, 0.0, 0.0, 0.0))
 
     def test_cache_returns_same_value(self):
-        cache = RecordDistanceCache()
-        assert cache.distance(R1, R2) == record_distance(R1, R2)
-        assert cache.distance(R2, R1) == cache.distance(R1, R2)
+        # The second ask of each order is served from the kernel memo.
+        first = record_distance(HEADER, R1)
+        assert record_distance(HEADER, R1) == first
+        assert record_distance(R1, HEADER) == first
 
     def test_cache_average_to_group(self):
-        cache = RecordDistanceCache()
-        avg = cache.average_to_group(HEADER, [R1, R2])
+        avg = average_distance(HEADER, [R1, R2])
         manual = (record_distance(HEADER, R1) + record_distance(HEADER, R2)) / 2
         assert abs(avg - manual) < 1e-9
+        assert average_distance(R1, [HEADER, R2]) == average_distance(
+            R1, [R2, HEADER]
+        )
 
     def test_cache_average_empty_group(self):
-        assert RecordDistanceCache().average_to_group(R1, []) == 0.0
+        assert average_distance(R1, []) == 0.0
 
 
 class TestCohesion:

@@ -73,11 +73,9 @@ class TestTentativeMR:
         assert mr.block() == Block(page, mr.start, mr.end)
 
     def test_internal_distance_low_for_uniform_records(self):
-        from repro.features.record_distance import RecordDistanceCache
-
         page = page_with(5)
         main = max(extract_mrs(page), key=lambda m: len(m.records))
-        assert main.internal_distance(RecordDistanceCache()) < 0.3
+        assert main.internal_distance() < 0.3
 
 
 class TestReanchoring:

@@ -6,8 +6,6 @@ import json
 import pytest
 
 from repro.core.mse import MSE, build_wrapper
-from repro.features.blocks import Block
-from repro.features.record_distance import RecordDistanceCache
 from repro.obs import (
     NULL_OBSERVER,
     MetricsRegistry,
@@ -18,7 +16,6 @@ from repro.obs import (
     render_tree,
 )
 from repro.testbed import load_engine_pages
-from tests.helpers import render
 
 
 class FakeClock:
@@ -145,7 +142,7 @@ class TestJsonlRoundTrip:
         with obs.span("refine"):
             with obs.span("grow"):
                 clock.advance(0.25)
-        obs.gauge("record_distance_cache.hit_rate", 0.75)
+        obs.gauge("perf.record_memo.hit_rate", 0.75)
         return obs
 
     def test_round_trip(self, tmp_path):
@@ -233,13 +230,9 @@ class TestPipelineIntegration:
     def test_cache_hit_rate_reported(self, traced_induction):
         obs, _ = traced_induction
         gauges = obs.metrics.gauges
-        assert "record_distance_cache.hit_rate" in gauges
-        assert 0.0 <= gauges["record_distance_cache.hit_rate"] <= 1.0
-        assert gauges["record_distance_cache.hits"] + gauges[
-            "record_distance_cache.misses"
-        ] == obs.metrics.counters["cache.hits"] + obs.metrics.counters[
-            "cache.misses"
-        ]
+        assert "perf.record_memo.hit_rate" in gauges
+        assert 0.0 <= gauges["perf.record_memo.hit_rate"] <= 1.0
+        assert gauges["perf.record_memo.hits"] + gauges["perf.record_memo.misses"] > 0
 
     def test_extraction_spans(self):
         engine_pages = load_engine_pages(3)
@@ -261,47 +254,6 @@ class TestPipelineIntegration:
         assert [s.line_span for s in result_plain.sections] == [
             s.line_span for s in result_traced.sections
         ]
-
-
-class TestRecordDistanceCacheStats:
-    def test_repeated_lookups_hit_the_cache(self):
-        page = render(
-            "<html><body>"
-            "<p><a href='/a'>alpha</a> one</p>"
-            "<p><a href='/b'>beta</a> two</p>"
-            "</body></html>"
-        )
-        cache = RecordDistanceCache()
-        b1 = Block(page, 0, 0)
-        b2 = Block(page, 1, 1)
-        first = cache.distance(b1, b2)
-        assert (cache.hits, cache.misses) == (0, 1)
-        # Same pair again, both orders: served from the cache.
-        assert cache.distance(b1, b2) == first
-        assert cache.distance(b2, b1) == first
-        assert (cache.hits, cache.misses) == (2, 1)
-        assert cache.hit_rate == pytest.approx(2 / 3)
-        stats = cache.stats()
-        assert stats["entries"] == 1
-        assert stats["hits"] == 2
-
-    def test_average_to_group_counts_lookups(self):
-        page = render(
-            "<html><body>"
-            "<p><a href='/a'>alpha</a></p>"
-            "<p><a href='/b'>beta</a></p>"
-            "<p><a href='/c'>gamma</a></p>"
-            "</body></html>"
-        )
-        cache = RecordDistanceCache()
-        blocks = [Block(page, i, i) for i in range(3)]
-        cache.average_to_group(blocks[0], blocks[1:])
-        assert cache.misses == 2
-        cache.average_to_group(blocks[0], blocks[1:])
-        assert cache.hits == 2
-
-    def test_fresh_cache_rate_is_zero(self):
-        assert RecordDistanceCache().hit_rate == 0.0
 
 
 class TestMergeStats:

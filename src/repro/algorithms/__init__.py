@@ -13,8 +13,10 @@ from repro.algorithms.tree_edit import (
     OrderedTree,
     forest_distance,
     normalized_tree_distance,
+    signature_tree_distance,
     tree_edit_distance,
     tree_from_element,
+    tree_signature,
 )
 
 __all__ = [
@@ -30,7 +32,9 @@ __all__ = [
     "normalized_edit_distance",
     "normalized_tree_distance",
     "section_instance_groups",
+    "signature_tree_distance",
     "stable_match",
     "tree_edit_distance",
     "tree_from_element",
+    "tree_signature",
 ]

@@ -10,7 +10,9 @@ enough to reproduce those properties:
 1. walk the DOM top-down; at every element with two or more element
    children, try *generalized nodes* of length k = 1..MAX_K: adjacent
    groups of k children whose tag structures are similar (normalized
-   tree edit distance over the combined forest <= threshold);
+   tree edit distance over the combined forest <= threshold, computed
+   by the same memoized signature kernel as MSE's Dtf,
+   :func:`repro.perf.kernels.memo_forest_distance`);
 2. maximal runs of two or more similar adjacent generalized nodes form
    a *data region*; children covered by a region are not re-mined at
    deeper levels;
@@ -24,12 +26,13 @@ evaluation harness can grade it against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from repro.algorithms.tree_edit import OrderedTree, forest_distance
 from repro.core.model import ExtractedRecord, ExtractedSection, PageExtraction
 from repro.htmlmod.dom import Document, Element
 from repro.htmlmod.parser import parse_html
+from repro.perf.fingerprints import interned_element_forest_signature
+from repro.perf.kernels import memo_forest_distance
 from repro.render.layout import render_page
 from repro.render.lines import RenderedPage
 
@@ -63,10 +66,6 @@ class DataRegion:
         return out
 
 
-def _forest(elements: Sequence[Element]) -> List[OrderedTree]:
-    return [OrderedTree.from_tuple(e.tag_signature()) for e in elements]
-
-
 def _find_regions(element: Element) -> List[DataRegion]:
     """Top-down data-region discovery (MDR's MDR/IdentDR step)."""
     regions: List[DataRegion] = []
@@ -82,11 +81,11 @@ def _find_regions(element: Element) -> List[DataRegion]:
             count = 1
             j = i
             while j + 2 * k <= len(children):
-                left = _forest(children[j : j + k])
-                right = _forest(children[j + k : j + 2 * k])
+                left = interned_element_forest_signature(children[j : j + k])
+                right = interned_element_forest_signature(children[j + k : j + 2 * k])
                 if (
-                    sum(t.size() for t in left) >= MIN_SUBTREE_SIZE
-                    and forest_distance(left, right) <= SIMILARITY_THRESHOLD
+                    sum(len(tree) for tree in left) >= MIN_SUBTREE_SIZE
+                    and memo_forest_distance(left, right) <= SIMILARITY_THRESHOLD
                 ):
                     count += 1
                     j += k

@@ -20,7 +20,7 @@ from repro.core.model import SectionInstance
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.perf.fingerprints import block_fingerprint
-from repro.perf.kernels import lazy_forest_distance
+from repro.perf.kernels import memo_forest_distance
 from repro.render.lines import ContentLine
 from repro.tagpath.paths import TagPath
 
@@ -87,11 +87,8 @@ def _forest_similarity(s1: SectionInstance, s2: SectionInstance) -> float:
         return 0.0
     rep1 = s1.records[0]
     rep2 = s2.records[0]
-    return 1.0 - lazy_forest_distance(
-        rep1.tag_forest,
-        rep2.tag_forest,
-        block_fingerprint(rep1).forest_sig,
-        block_fingerprint(rep2).forest_sig,
+    return 1.0 - memo_forest_distance(
+        block_fingerprint(rep1).forest_sig, block_fingerprint(rep2).forest_sig
     )
 
 

@@ -3,15 +3,15 @@
 "One or more consecutive content lines form a block"; any search result
 record on a rendered page is a block.  A :class:`Block` is a view over a
 ``RenderedPage`` line span carrying the derived visual features (block
-type code, block shape, block text attributes) and, lazily, the tag
-forest underneath it.
+type code, block shape, block text attributes) and, lazily, the root
+elements of the tag forest underneath it, whose interned signatures the
+block's fingerprint (:mod:`repro.perf.fingerprints`) holds.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.algorithms.tree_edit import OrderedTree
 from repro.render.lines import ContentLine, RenderedPage
 from repro.render.linetypes import LineType
 from repro.render.styles import TextAttr
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 class Block:
     """A consecutive span of content lines ``start..end`` (inclusive)."""
 
-    __slots__ = ("page", "start", "end", "_elements", "_forest", "_fp")
+    __slots__ = ("page", "start", "end", "_elements", "_fp")
 
     def __init__(self, page: RenderedPage, start: int, end: int) -> None:
         if start > end:
@@ -35,7 +35,6 @@ class Block:
         self.start = start
         self.end = end
         self._elements: Optional[List["Element"]] = None
-        self._forest: Optional[List[OrderedTree]] = None
         #: lazily filled by repro.perf.fingerprints.block_fingerprint
         self._fp: Optional["BlockFingerprint"] = None
 
@@ -100,21 +99,6 @@ class Block:
         if self._elements is None:
             self._elements = self.page.span_forest(self.start, self.end)
         return self._elements
-
-    def tag_forest(self) -> List[OrderedTree]:
-        """The tag forest underneath this block (cached).
-
-        Fingerprinting reads the forest *signatures* straight off
-        :meth:`span_elements`; the :class:`OrderedTree` forms built here
-        are only needed when a tree-edit dynamic program actually runs
-        (a miss in every distance memo), so they stay lazy.
-        """
-        if self._forest is None:
-            self._forest = [
-                OrderedTree.from_tuple(element.tag_signature())
-                for element in self.span_elements()
-            ]
-        return self._forest
 
     def overlaps(self, other: "Block") -> bool:
         """Whether two blocks on the same page share any line."""

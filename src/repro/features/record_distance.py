@@ -17,12 +17,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.algorithms.string_edit import normalized_edit_distance
-from repro.algorithms.tree_edit import forest_distance as _tree_forest_distance
 from repro.features.blocks import Block
 from repro.features.config import DEFAULT_CONFIG, FeatureConfig
 from repro.features.line_distance import position_distance, text_attr_distance
 from repro.perf.fingerprints import block_fingerprint, masked_attr_distance
-from repro.perf.kernels import RECORD_MEMO, lazy_forest_distance
+from repro.perf.kernels import RECORD_MEMO, memo_forest_distance
 from repro.render.linetypes import type_distance
 
 
@@ -71,8 +70,18 @@ def block_text_attr_distance(block1: Block, block2: Block) -> float:
 
 
 def tag_forest_distance(block1: Block, block2: Block) -> float:
-    """Dtf: normalized edit distance between the blocks' tag forests."""
-    return _tree_forest_distance(block1.tag_forest(), block2.tag_forest())
+    """Dtf: normalized edit distance between the blocks' tag forests.
+
+    The reference kernel: builds both forests afresh as
+    :class:`~repro.algorithms.tree_edit.OrderedTree` lists and runs the
+    unmemoized callback program over them.
+    """
+    from repro.algorithms.tree_edit import forest_distance, tree_from_element
+
+    return forest_distance(
+        [tree_from_element(element) for element in block1.span_elements()],
+        [tree_from_element(element) for element in block2.span_elements()],
+    )
 
 
 def record_distance(
@@ -107,14 +116,7 @@ def record_distance(
         return memoized
     v1, v2, v3, v4, v5 = config.record_weights
 
-    if fp1.forest_sig is fp2.forest_sig:
-        dtf = 0.0
-    else:
-        # Thunked: the OrderedTree forests are only materialized when the
-        # forest memo misses — in the warm serving loop, almost never.
-        dtf = lazy_forest_distance(
-            block1.tag_forest, block2.tag_forest, fp1.forest_sig, fp2.forest_sig
-        )
+    dtf = memo_forest_distance(fp1.forest_sig, fp2.forest_sig)
 
     if fp1.type_codes is fp2.type_codes:
         dbt = 0.0

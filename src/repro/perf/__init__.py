@@ -9,7 +9,8 @@ implementations:
 
 - :mod:`repro.perf.fingerprints` — per-block compact signatures:
   attribute-set bitmasks (Dtal by popcount), interned feature tuples
-  and flattened post-order tag-forest signatures;
+  and flattened post-order tag-forest signatures, the one tree form
+  the §4.1 distances run on;
 - :mod:`repro.perf.kernels` — the process-wide tree, forest, record
   (Drec) and section (Dinr) distance memos, the only memo layer for the
   §4 distances, with hit/miss statistics surfaced as ``perf.*``
@@ -39,18 +40,16 @@ from repro.perf.fingerprints import (
     BlockFingerprint,
     TupleInterner,
     block_fingerprint,
-    interned_forest_signature,
     masked_attr_distance,
 )
 from repro.perf.kernels import (
     FOREST_MEMO,
     TREE_MEMO,
     PairMemo,
-    SignedTree,
     clear_kernel_caches,
-    fast_forest_distance,
     fast_normalized_tree_distance,
     kernel_cache_stats,
+    memo_forest_distance,
     observe_kernel_gauges,
 )
 
@@ -97,7 +96,6 @@ __all__ = [  # lint: allow API01 -- serve names resolve lazily via module __geta
     "PairMemo",
     "ServedPage",
     "Server",
-    "SignedTree",
     "TupleInterner",
     "auto_chunksize",
     "block_fingerprint",
@@ -105,10 +103,9 @@ __all__ = [  # lint: allow API01 -- serve names resolve lazily via module __geta
     "clear_kernel_caches",
     "compile_wrapper",
     "extract_many",
-    "fast_forest_distance",
     "fast_normalized_tree_distance",
-    "interned_forest_signature",
     "kernel_cache_stats",
     "masked_attr_distance",
+    "memo_forest_distance",
     "observe_kernel_gauges",
 ]

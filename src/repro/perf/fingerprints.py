@@ -11,9 +11,12 @@ per block and reduces it to small interned immutable values:
   intersection — with arithmetic identical to the reference;
 - **type-code and shape tuples** are interned, so equality checks hit
   the ``is`` fast path and equal blocks share one object;
-- **tag forests** become flattened post-order signatures
-  (:func:`repro.algorithms.tree_edit.tree_signature`), the keys of the
-  tree/forest memos in :mod:`repro.perf.kernels`.
+- **tag forests** become flattened post-order signatures (one
+  ``(label, leftmost_leaf)`` pair per node, the form of
+  :func:`repro.algorithms.tree_edit.tree_signature`), read straight off
+  the DOM.  They are the only tree form on the production path: the
+  keys of the tree/forest memos in :mod:`repro.perf.kernels` *and* the
+  input of their Zhang–Shasha program.
 
 Fingerprints are cached on the block (``Block._fp``), and the interners
 are process-wide: the distinct-value populations (text attributes, type
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.algorithms.tree_edit import OrderedTree, TreeSignature, tree_signature
+from repro.algorithms.tree_edit import TreeSignature
 from repro.htmlmod.dom import Element
 from repro.render.styles import TextAttr
 
@@ -192,21 +195,12 @@ class BlockFingerprint:
         )
 
 
-def interned_forest_signature(forest: Iterable[OrderedTree]) -> Interned:
-    """Forest signature with every level interned (identity-stable)."""
-    intern = TUPLE_INTERNER.intern
-    return intern(tuple(intern(tree_signature(tree)) for tree in forest))
-
-
 def element_tree_signature(element: Element) -> TreeSignature:
     """The :func:`~repro.algorithms.tree_edit.tree_signature` of an
     element's tag tree, computed directly off the DOM.
 
-    Equal to ``tree_signature(OrderedTree.from_tuple(element.tag_signature()))``
-    but in a single subtree walk instead of three (signature-tuple build,
-    tree build, post-order annotation) — the fingerprint hot path only
-    needs the signature; the :class:`OrderedTree` form stays lazy on the
-    block for the rare distance-memo miss.
+    Equal to ``tree_signature(tree_from_element(element))`` but in a
+    single subtree walk, with no intermediate tree built.
     """
     for child in element.children:
         if isinstance(child, Element):
@@ -236,7 +230,10 @@ def element_tree_signature(element: Element) -> TreeSignature:
 
 
 def interned_element_forest_signature(forest: Iterable[Element]) -> Interned:
-    """Like :func:`interned_forest_signature`, straight off the DOM forest."""
+    """Signature of a DOM forest with every level interned (identity-stable).
+
+    The input of :func:`repro.perf.kernels.memo_forest_distance`.
+    """
     intern = TUPLE_INTERNER.intern
     return intern(
         tuple(intern(element_tree_signature(element)) for element in forest)

@@ -7,10 +7,12 @@ layer for the paper's §4 distances, all process-wide:
 
 - :func:`fast_normalized_tree_distance` — one Zhang–Shasha run per
   distinct *pair of tree signatures*, ever (``TREE_MEMO``), keyed on
-  the flattened post-order signatures of :mod:`repro.perf.fingerprints`;
-- :func:`lazy_forest_distance` — one generalized-Levenshtein run per
+  the flattened post-order signatures of :mod:`repro.perf.fingerprints`
+  and computed from them directly: no tree object is built on a miss;
+- :func:`memo_forest_distance` — one generalized-Levenshtein run per
   distinct *pair of forest signatures*, ever (``FOREST_MEMO``); the one
-  forest-distance body, shared by Drec's Dtf term and §5.6 grouping;
+  forest-distance body, shared by Drec's Dtf term, §5.6 grouping and
+  the MDR baseline;
 - ``RECORD_MEMO`` — whole Drec values, filled by
   :func:`repro.features.record_distance.record_distance`;
 - ``DINR_MEMO`` — whole-section Dinr values, filled by the health check.
@@ -25,17 +27,12 @@ counters, surfaced through :func:`kernel_cache_stats` and the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.algorithms.string_edit import normalized_edit_distance
-from repro.algorithms.tree_edit import OrderedTree, tree_edit_distance
+from repro.algorithms.tree_edit import TreeSignature, signature_tree_distance
 from repro.obs import ObserverLike
-from repro.perf.fingerprints import (
-    ATTR_INTERNER,
-    TUPLE_INTERNER,
-    Interned,
-    interned_forest_signature,
-)
+from repro.perf.fingerprints import ATTR_INTERNER, TUPLE_INTERNER, Interned
 
 
 class PairMemo:
@@ -133,92 +130,48 @@ RECORD_MEMO = PairMemo("record_memo")
 DINR_MEMO = PairMemo("dinr_memo")
 
 
-class SignedTree:
-    """A tree paired with its interned signature.
-
-    Elements of the forest-level edit distance: equality (what the
-    sequence kernel's trim compares) is signature equality, which is
-    exactly structural tree equality — but resolved by an ``is`` check
-    on the interned tuples instead of a recursive dataclass compare.
-    """
-
-    __slots__ = ("tree", "sig")
-
-    def __init__(self, tree: OrderedTree, sig: Interned) -> None:
-        self.tree = tree
-        self.sig = sig
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SignedTree) and (
-            self.sig is other.sig or self.sig == other.sig
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.sig)
-
-
-def fast_normalized_tree_distance(tree1: SignedTree, tree2: SignedTree) -> float:
-    """Memoized normalized tree edit distance over signed trees.
+def fast_normalized_tree_distance(sig1: TreeSignature, sig2: TreeSignature) -> float:
+    """Memoized normalized tree edit distance over tree signatures.
 
     Bit-identical to
-    :func:`repro.algorithms.tree_edit.normalized_tree_distance`: on a
-    miss it runs the same Zhang–Shasha program normalized by the same
-    larger-size denominator (``len(signature) == tree.size()``).
+    :func:`repro.algorithms.tree_edit.normalized_tree_distance` over the
+    trees the signatures encode: on a miss it runs the same Zhang–Shasha
+    program (:func:`~repro.algorithms.tree_edit.signature_tree_distance`)
+    normalized by the same larger-size denominator
+    (``len(signature) == tree.size()``).
     """
-    sig1, sig2 = tree1.sig, tree2.sig
     if sig1 is sig2 or sig1 == sig2:
         return 0.0
     key, found = TREE_MEMO.lookup(sig1, sig2)
     if found is None:
         found = min(
-            1.0,
-            tree_edit_distance(tree1.tree, tree2.tree)
-            / max(len(sig1), len(sig2)),
+            1.0, signature_tree_distance(sig1, sig2) / max(len(sig1), len(sig2))
         )
         TREE_MEMO.store(key, found)
     return found
 
 
-def lazy_forest_distance(
-    forest1: Callable[[], Sequence[OrderedTree]],
-    forest2: Callable[[], Sequence[OrderedTree]],
-    sig1: Interned,
-    sig2: Interned,
-) -> float:
+def memo_forest_distance(sig1: Interned, sig2: Interned) -> float:
     """Memoized normalized tag-forest distance (paper §4.1).
 
     Bit-identical to :func:`repro.algorithms.tree_edit.forest_distance`
     over the two forests whose interned signatures are ``sig1`` and
-    ``sig2``.  The callers (``record_distance``, §5.6 grouping) hold the
-    signatures from the block fingerprints; the :class:`OrderedTree`
-    forests are built by thunk only when the forest memo misses — in the
-    warm serving loop, almost never.  Two memo layers cooperate: a hit
-    at the forest level skips everything, a miss runs the sequence
-    kernel whose per-pair substitution costs hit the tree-level memo.
+    ``sig2``.  The callers (``record_distance``, §5.6 grouping, the MDR
+    baseline) hold the signatures from the block fingerprints or the
+    DOM.  Two memo layers cooperate: a hit at the forest level skips
+    everything, a miss runs the sequence kernel over the tree-signature
+    tuples themselves (tuple ``==`` short-circuits on the interned
+    identity), whose per-pair substitution costs hit the tree-level memo.
     """
     if sig1 is sig2 or sig1 == sig2:
         return 0.0
     key, found = FOREST_MEMO.lookup(sig1, sig2)
     if found is None:
-        signed1 = [SignedTree(t, s) for t, s in zip(forest1(), sig1)]
-        signed2 = [SignedTree(t, s) for t, s in zip(forest2(), sig2)]
         found = normalized_edit_distance(
-            signed1, signed2, substitution_cost=fast_normalized_tree_distance
+            sig1, sig2, substitution_cost=fast_normalized_tree_distance
         )
         FOREST_MEMO.store(key, found)
     return found
-
-
-def fast_forest_distance(
-    forest1: Sequence[OrderedTree], forest2: Sequence[OrderedTree]
-) -> float:
-    """:func:`lazy_forest_distance` over two materialized forests."""
-    return lazy_forest_distance(
-        lambda: forest1,
-        lambda: forest2,
-        interned_forest_signature(forest1),
-        interned_forest_signature(forest2),
-    )
 
 
 def kernel_cache_stats() -> Dict[str, Dict[str, float]]:

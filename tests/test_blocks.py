@@ -53,10 +53,10 @@ class TestBlockFeatures:
         block = Block(PAGE, 0, 3)
         assert len(block.text_attrs) == 4
 
-    def test_tag_forest_cached(self):
+    def test_span_elements_cached(self):
         block = Block(PAGE, 0, 1)
-        assert block.tag_forest() is block.tag_forest()
-        assert [t.label for t in block.tag_forest()] == ["a", "br"]
+        assert block.span_elements() is block.span_elements()
+        assert [e.tag for e in block.span_elements()] == ["a", "br"]
 
     def test_text_property(self):
         assert "one" in Block(PAGE, 0, 1).text

@@ -1,16 +1,16 @@
 """The repro.perf fast kernels must agree exactly with the references.
 
 Every optimisation in the perf layer (trimmed edit distance, bitmask
-Dtal, memoized tree/forest distance, the fingerprint fast paths and the
-Drec memo inside ``record_distance``) claims *score identity* with the
-naive formula implementations — these property tests are that claim, on
+Dtal, the Zhang–Shasha program over tree signatures, memoized
+tree/forest distance, the fingerprint fast paths and the Drec memo
+inside ``record_distance``) claims *score identity* with the naive
+formula implementations — these property tests are that claim, on
 randomized inputs.
 """
 
-import random
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms.string_edit import (
     edit_distance,
@@ -20,7 +20,9 @@ from repro.algorithms.string_edit import (
 from repro.algorithms.tree_edit import (
     OrderedTree,
     forest_distance,
-    forest_signature,
+    normalized_tree_distance,
+    signature_tree_distance,
+    tree_edit_distance,
     tree_signature,
 )
 from repro.features.blocks import Block
@@ -34,12 +36,15 @@ from repro.perf import kernels
 from repro.perf import (
     ATTR_INTERNER,
     FOREST_MEMO,
+    TREE_MEMO,
+    TUPLE_INTERNER,
     PairMemo,
     block_fingerprint,
     clear_kernel_caches,
-    fast_forest_distance,
+    fast_normalized_tree_distance,
     kernel_cache_stats,
     masked_attr_distance,
+    memo_forest_distance,
 )
 from repro.render.layout import render_page
 from repro.render.styles import TextAttr
@@ -62,6 +67,30 @@ def trees(draw, depth=3):
 @st.composite
 def forests(draw):
     return [OrderedTree.from_tuple(spec) for spec in draw(st.lists(trees(), max_size=3))]
+
+
+def tree_from_signature(sig):
+    """Decode a post-order ``(label, leftmost_leaf)`` signature to a tree.
+
+    A node's subtree spans post-order indices ``leftmost_leaf..node``, so
+    its children are exactly the finished subtrees on the stack whose
+    leftmost leaf lies in that range.
+    """
+    stack = []  # (leftmost leaf, subtree) of every finished, unparented subtree
+    for label, leaf in sig:
+        children = []
+        while stack and stack[-1][0] >= leaf:
+            children.append(stack.pop()[1])
+        children.reverse()
+        stack.append((leaf, OrderedTree(label, children)))
+    ((_, root),) = stack
+    return root
+
+
+def _sign(forest):
+    """Interned forest signature, as the block fingerprints hold it."""
+    intern = TUPLE_INTERNER.intern
+    return intern(tuple(intern(tree_signature(tree)) for tree in forest))
 
 
 attr_sets = st.frozensets(
@@ -155,21 +184,63 @@ class TestAttrMasks:
 # -- tree / forest memoization ----------------------------------------------
 
 
+class TestSignatureTreeDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(trees(), trees())
+    @example(("a",), ("a",))  # single nodes
+    @example(("a",), ("b",))
+    @example(("a",), ("a", ("b",), ("c",)))  # a leaf against leaf-only children
+    @example(("a", ("b",), ("c",)), ("a", ("c",), ("b",), ("d",)))
+    # Clamp regression: ancestry constraints make a raw distance of 6
+    # between these two 5-node trees, a normalized 1.2 without the clamp.
+    @example(
+        ("a", ("b", ("a",), ("a",)), ("a",)),
+        ("c", ("c",), ("a", ("c",), ("b",))),
+    )
+    def test_matches_callback_oracle(self, spec1, spec2):
+        t1, t2 = OrderedTree.from_tuple(spec1), OrderedTree.from_tuple(spec2)
+        sig1 = TUPLE_INTERNER.intern(tree_signature(t1))
+        sig2 = TUPLE_INTERNER.intern(tree_signature(t2))
+        assert signature_tree_distance(sig1, sig2) == tree_edit_distance(t1, t2)
+        clear_kernel_caches()
+        reference = normalized_tree_distance(t1, t2)
+        assert fast_normalized_tree_distance(sig1, sig2) == reference
+        # and again, now served from the memo
+        assert fast_normalized_tree_distance(sig2, sig1) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees())
+    def test_signature_round_trip(self, spec):
+        tree = OrderedTree.from_tuple(spec)
+        sig = tree_signature(tree)
+        assert tree_from_signature(sig) == tree
+        assert tree_signature(tree_from_signature(sig)) == sig
+
+    def test_memo_hits_are_counted(self):
+        clear_kernel_caches()
+        sig1 = TUPLE_INTERNER.intern((("b", 0), ("a", 0)))
+        sig2 = TUPLE_INTERNER.intern((("a", 0),))
+        assert fast_normalized_tree_distance(sig1, sig2) == 0.5
+        fast_normalized_tree_distance(sig2, sig1)
+        assert (TREE_MEMO.hits, TREE_MEMO.misses) == (1, 1)
+
+
 class TestForestMemo:
     @settings(max_examples=100, deadline=None)
     @given(forests(), forests())
     def test_matches_reference(self, f1, f2):
         clear_kernel_caches()
-        assert fast_forest_distance(f1, f2) == forest_distance(f1, f2)
+        sig1, sig2 = _sign(f1), _sign(f2)
+        assert memo_forest_distance(sig1, sig2) == forest_distance(f1, f2)
         # and again, now served from the memo
-        assert fast_forest_distance(f1, f2) == forest_distance(f1, f2)
+        assert memo_forest_distance(sig1, sig2) == forest_distance(f1, f2)
 
     @settings(max_examples=50, deadline=None)
     @given(forests())
     def test_signature_equality_means_zero(self, f):
         clone = [OrderedTree.from_tuple(_spec(t)) for t in f]
-        assert forest_signature(f) == forest_signature(clone)
-        assert fast_forest_distance(f, clone) == 0.0
+        assert _sign(f) is _sign(clone)
+        assert memo_forest_distance(_sign(f), _sign(clone)) == 0.0
 
     def test_signature_is_postorder_unique(self):
         # (a(b c)) vs (a(b(c))): same label multiset, different shape.
@@ -180,11 +251,11 @@ class TestForestMemo:
 
     def test_memo_hits_are_counted(self):
         clear_kernel_caches()
-        f1 = [OrderedTree.from_tuple(("a", ("b",)))]
-        f2 = [OrderedTree.from_tuple(("a", ("c",)))]
-        fast_forest_distance(f1, f2)
+        f1 = _sign([OrderedTree.from_tuple(("a", ("b",)))])
+        f2 = _sign([OrderedTree.from_tuple(("a", ("c",)))])
+        memo_forest_distance(f1, f2)
         before = FOREST_MEMO.hits
-        fast_forest_distance(f1, f2)
+        memo_forest_distance(f1, f2)
         assert FOREST_MEMO.hits == before + 1
         stats = kernel_cache_stats()
         assert stats["forest_memo"]["hits"] >= 1
@@ -327,9 +398,12 @@ class TestFeatureFastPaths:
 # -- end to end -------------------------------------------------------------
 
 
-def _reference_forest_distance(forest1, forest2, sig1, sig2):
-    """``lazy_forest_distance``'s signature over the unmemoized oracle."""
-    return forest_distance(forest1(), forest2())
+def _reference_forest_distance(sig1, sig2):
+    """``memo_forest_distance``'s signature over the unmemoized oracle."""
+    return forest_distance(
+        [tree_from_signature(sig) for sig in sig1],
+        [tree_from_signature(sig) for sig in sig2],
+    )
 
 
 class TestEndToEnd:
@@ -350,8 +424,8 @@ class TestEndToEnd:
         fast, _ = engine_record(engine_id)
         swaps = {
             "record_distance": (record_distance, record_distance_reference),
-            "lazy_forest_distance": (
-                kernels.lazy_forest_distance,
+            "memo_forest_distance": (
+                kernels.memo_forest_distance,
                 _reference_forest_distance,
             ),
             # the health check's Dinr memo, replaced by one that never stores

@@ -62,15 +62,6 @@ class TestSizeAndConstruction:
         assert tree.label == "ul"
         assert [c.label for c in tree.children] == ["li", "li"]
 
-    def test_custom_cost(self):
-        def cost(a, b):
-            if a is None or b is None:
-                return 2.0
-            return 0.0 if a == b else 0.5
-
-        assert tree_edit_distance(t(("a",)), t(("b",)), cost) == 0.5
-        assert tree_edit_distance(t(("a",)), t(("a", ("b",))), cost) == 2.0
-
 
 class TestNormalized:
     def test_identical_is_zero(self):
